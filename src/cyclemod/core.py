@@ -18,7 +18,13 @@ from __future__ import annotations
 from itertools import combinations
 from dataclasses import dataclass
 
-from .errors import HypothesisNotMet, InvalidArgument, InvalidWitness, NotRooted2Connected
+from .errors import (
+    HypothesisNotMet,
+    InvalidArgument,
+    InvalidWitness,
+    InvariantViolated,
+    NotRooted2Connected,
+)
 from .decompose import is_rooted_2_connected
 from .families import (
     LENGTH,
@@ -98,7 +104,8 @@ def find_core(g, x, y):
                 )
     if best is not None:
         ok, report = verify_core(g, best)
-        assert ok, f"maximal core fails its own conditions: {report}"
+        if not ok:
+            raise InvariantViolated(f"maximal core fails its own conditions: {report}")
     return best
 
 

@@ -30,6 +30,7 @@ from .graph import components, contract_set, induced, is_bipartite, is_connected
 from .decompose import (
     block_cut_tree,
     is_2_connected,
+    two_separations,
     vertex_connectivity_at_least,
 )
 from .families import (
@@ -54,8 +55,8 @@ from .paths import (
     _BRANCH_ERRORS,
     _engine,
     _fits,
-    _map_family,
     _path_within,
+    _recurse_on,
     find_paths_flex,
 )
 
@@ -224,16 +225,6 @@ def find_nonsep_induced_odd_cycle(g):
 # -- branch I: 2-connected but not 3-connected -------------------------------
 
 
-def _two_separations(g):
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            comps = components(g, ignore=(u, v))
-            if len(comps) > 1:
-                a = set(comps[0]) | {u, v}
-                b = (set(range(g.n)) - set(comps[0])) | {u, v}
-                yield a, b, u, v
-
-
 def cycles_2conn_not_3conn(g, k, trace=None):
     """k cycles satisfying the length condition, glued across a 2-cut."""
     if trace is None:
@@ -246,9 +237,9 @@ def cycles_2conn_not_3conn(g, k, trace=None):
         raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
     l, phi = split_parity(k)
     last_error = None
-    for a_verts, b_verts, x, y in _two_separations(g):
+    for sep in two_separations(g):
         try:
-            fam = _glue_sides(g, k, l, phi, a_verts, b_verts, x, y, trace)
+            fam = _glue_sides(g, k, l, phi, sep.a, sep.b, *sep.cut, trace)
         except _BRANCH_ERRORS as exc:
             last_error = exc
             continue
@@ -258,10 +249,12 @@ def cycles_2conn_not_3conn(g, k, trace=None):
 
 
 def _side(g, verts, x, y, k_side, flex, trace):
-    sub, to_orig = induced(g, verts)
-    inv = {v: j for j, v in enumerate(to_orig)}
-    fam = _engine(sub, inv[x], inv[y], k_side, flex, trace)
-    return _map_family(fam, to_orig)
+    # Each side of a 2-separation of a 2-connected graph with delta >= k + 1
+    # meets the hypothesis, so a refusal is treated like any failed glue.
+    fam = _recurse_on(g, verts, x, y, k_side, flex, trace)
+    if fam is None:
+        raise HypothesisNotMet("a side of the 2-separation misses the hypothesis")
+    return fam
 
 
 def _glue_sides(g, k, l, phi, a_verts, b_verts, x, y, trace):
@@ -453,15 +446,10 @@ def _fan_from_block(g, k, l, phi, c, blk, b, rest, trace):
 
 
 def _block_paths(g, blk, b, x, kk, flex, trace):
-    sub, to_orig = induced(g, blk)
-    inv = {v: j for j, v in enumerate(to_orig)}
-    if not _fits(sub, inv[x], inv[b], kk, flex):
-        return None
     try:
-        fam = _engine(sub, inv[x], inv[b], kk, flex, trace)
+        return _recurse_on(g, blk, x, b, kk, flex, trace)
     except _BRANCH_ERRORS:
         return None
-    return _map_family(fam, to_orig)
 
 
 def _bridge_out(g, b, blk, rest, y):

@@ -2,8 +2,9 @@
 and the rooted 2-connectivity test for a graph with two roots (x, y).
 
 (G, x, y) is rooted 2-connected iff G + xy is 2-connected; equivalently
-(cross-asserted here) G is connected of order >= 3, has at most two end
-blocks, and every end block contains x or y as a non-cut vertex.
+G is connected of order >= 3, has at most two end blocks, and every end
+block contains x or y as a non-cut vertex (the tests check that the two
+readings agree).
 """
 
 from __future__ import annotations
@@ -114,75 +115,49 @@ def is_2_connected(g):
     return not block_cut_tree(g).cut_vertices
 
 
-def _rooted_via_blocks(g, x, y):
-    """R1/R2 reading: connected, order >= 3, <= 2 end blocks, every end
-    block contains x or y as a non-cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    bct = block_cut_tree(g)
-    if len(bct.end_blocks) > 2:
-        return False
-    cuts = set(bct.cut_vertices)
-    for i in bct.end_blocks:
-        blk = set(bct.blocks[i])
-        if not ((x in blk and x not in cuts) or (y in blk and y not in cuts)):
-            return False
-    return True
-
-
 def is_rooted_2_connected(g, x, y):
-    """True iff G + xy is 2-connected (cross-asserted with the end-block test)."""
+    """True iff G + xy is 2-connected."""
     if x == y:
         raise InvalidArgument("roots must differ")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise InvalidArgument("root out of range")
-    direct = is_2_connected(g.with_edge(x, y)) if not g.has_edge(x, y) else is_2_connected(g)
-    via_blocks = _rooted_via_blocks(g, x, y)
-    assert direct == via_blocks, (
-        f"rooted-2-connectivity tests disagree on n={g.n}, x={x}, y={y}"
-    )
-    return direct
+    return is_2_connected(g if g.has_edge(x, y) else g.with_edge(x, y))
+
+
+def two_separations(g):
+    """Every 2-separation (A, B) of g, by lexicographic cut pair (u, v).
+
+    A is the component of G - {u, v} holding its smallest vertex id, plus
+    u and v; B is the rest of the graph plus u and v.
+    """
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if is_connected(g, ignore=(u, v)):  # cheaper than components(); most pairs pass
+                continue
+            a_side = set(components(g, ignore=(u, v))[0]) | {u, v}
+            b_side = (set(range(g.n)) - a_side) | {u, v}
+            yield Separation2(a=tuple(sorted(a_side)), b=tuple(sorted(b_side)), cut=(u, v))
 
 
 def vertex_connectivity_at_least(g, t):
-    """Decide kappa(G) >= t for t in {2, 3} (brute-force pair deletion)."""
+    """Decide kappa(G) >= t for t in {2, 3}."""
     if t not in (2, 3):
         raise InvalidArgument("t must be 2 or 3")
     if g.n < t + 1:
         raise InvalidArgument(f"graph too small to ask about {t}-connectivity")
     if not is_2_connected(g):
         return False
-    if t == 2:
-        return True
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.n - 2 >= 2 and not is_connected(g, ignore=(u, v)):
-                return False
-    return True
+    return t == 2 or next(two_separations(g), None) is None
 
 
 def find_2_separation(g):
-    """A 2-separation (A, B) with |A|, |B| >= 3, or None if 3-connected.
-
-    Deterministic: lexicographically smallest cut pair; side A is the one
-    containing the smallest remaining vertex id.
-    """
+    """The first 2-separation of two_separations(g), or None if g is
+    3-connected (or has fewer than 4 vertices)."""
     if g.n < 4:
         return None
     if not is_2_connected(g):
         raise InvalidArgument("find_2_separation expects a 2-connected graph")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            comps = components(g, ignore=(u, v))
-            if len(comps) > 1:
-                a_side = set(comps[0]) | {u, v}
-                b_side = set().union(*comps[1:]) | {u, v}
-                return Separation2(
-                    a=tuple(sorted(a_side)),
-                    b=tuple(sorted(b_side)),
-                    cut=(u, v),
-                )
-    return None
+    return next(two_separations(g), None)
 
 
 def feasible_end_blocks(c, y):

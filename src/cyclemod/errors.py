@@ -36,3 +36,7 @@ class BudgetExceeded(CyclemodError):
 
 class GenerationInfeasible(CyclemodError):
     """Random generation could not satisfy the requested properties."""
+
+
+class InvariantViolated(CyclemodError):
+    """A construction broke one of its own invariants: a bug, not bad input."""

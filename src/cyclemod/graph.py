@@ -123,25 +123,6 @@ def induced(g, s):
     return Graph(len(to_orig), edges), to_orig
 
 
-def bipartite_subgraph(g, s, t):
-    """G[S, T]: vertex set S u T, keeping only the S-T edges.
-
-    Returns (subgraph, to_orig) relabeled like induced().
-    """
-    s, t = set(s), set(t)
-    if s & t:
-        raise InvalidArgument("bipartite_subgraph needs disjoint sets")
-    to_orig = sorted(s | t)
-    inv = {o: i for i, o in enumerate(to_orig)}
-    edges = [
-        (inv[u], inv[v])
-        for u in sorted(s)
-        for v in g.adj[u]
-        if v in t
-    ]
-    return Graph(len(to_orig), edges), to_orig
-
-
 def contract_set(g, s):
     """Contract vertex set s into one super-vertex, merging parallel edges.
 

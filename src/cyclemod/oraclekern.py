@@ -1,17 +1,11 @@
 """Exhaustive-search kernels: the exact set of simple (x, y)-path lengths
 and the exact set of cycle lengths of a graph.
 
-These are the hot loops of the oracle layer.  Two interchangeable
-implementations exist:
-
-* a numba @njit kernel over int64 adjacency bitmasks (n <= 63), used when
-  numba is importable and CYCLEMOD_NO_NUMBA is unset;
-* a pure-Python fallback over arbitrary-width int bitmasks (any n),
-  semantically identical.
-
-Both count DFS node expansions against a budget (default 10**7, override
-with the CYCLEMOD_BUDGET environment variable) and raise BudgetExceeded
-rather than returning a partial answer.
+These are the hot loops of the oracle layer: pure-Python depth-first
+searches over arbitrary-width int adjacency bitmasks (any n).  They count
+node expansions against a budget (default 10**7, override with the
+CYCLEMOD_BUDGET environment variable) and raise BudgetExceeded rather
+than returning a partial answer.
 """
 
 from __future__ import annotations
@@ -21,16 +15,6 @@ import os
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10**7
-
-try:  # pragma: no cover - import probing
-    if os.environ.get("CYCLEMOD_NO_NUMBA"):
-        raise ImportError("numba disabled by CYCLEMOD_NO_NUMBA")
-    import numpy as _np
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 
 def default_budget():
@@ -44,14 +28,12 @@ def default_budget():
 
 
 def using_numba():
-    return _HAVE_NUMBA and not os.environ.get("CYCLEMOD_NO_NUMBA")
+    """Whether the kernels are JIT-compiled; they are plain Python."""
+    return False
 
 
 def _adj_masks(g):
     return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
-
-
-# -- pure-Python kernels ---------------------------------------------------
 
 
 def _path_lengths_py(adj, n, x, y, budget):
@@ -121,86 +103,6 @@ def _cycle_lengths_py(adj, n, budget):
     return lengths, nodes, False
 
 
-# -- numba kernels ---------------------------------------------------------
-
-if _HAVE_NUMBA:  # pragma: no branch
-
-    @_njit(cache=True)
-    def _path_lengths_nb(adj, n, x, y, budget):  # pragma: no cover - jitted
-        lengths = 0
-        nodes = 0
-        visited = 1 << x
-        stack_v = _np.empty(n + 1, dtype=_np.int64)
-        stack_rem = _np.empty(n + 1, dtype=_np.int64)
-        top = 0
-        stack_v[0] = x
-        stack_rem[0] = adj[x]
-        while top >= 0:
-            rem = stack_rem[top]
-            if rem == 0:
-                visited &= ~(1 << stack_v[top])
-                top -= 1
-                continue
-            b = rem & -rem
-            stack_rem[top] = rem & ~b
-            v = 0
-            bb = b
-            while bb > 1:
-                bb >>= 1
-                v += 1
-            nodes += 1
-            if nodes > budget:
-                return lengths, nodes, True
-            if v == y:
-                lengths |= 1 << (top + 1)
-                continue
-            if visited & b:
-                continue
-            visited |= b
-            top += 1
-            stack_v[top] = v
-            stack_rem[top] = adj[v] & ~visited
-        return lengths, nodes, False
-
-    @_njit(cache=True)
-    def _cycle_lengths_nb(adj, n, budget):  # pragma: no cover - jitted
-        lengths = 0
-        nodes = 0
-        stack_v = _np.empty(n + 1, dtype=_np.int64)
-        stack_rem = _np.empty(n + 1, dtype=_np.int64)
-        for s in range(n):
-            above = ~((1 << (s + 1)) - 1)
-            visited = 1 << s
-            top = 0
-            stack_v[0] = s
-            stack_rem[0] = adj[s] & above
-            while top >= 0:
-                rem = stack_rem[top]
-                if rem == 0:
-                    visited &= ~(1 << stack_v[top])
-                    top -= 1
-                    continue
-                b = rem & -rem
-                stack_rem[top] = rem & ~b
-                v = 0
-                bb = b
-                while bb > 1:
-                    bb >>= 1
-                    v += 1
-                nodes += 1
-                if nodes > budget:
-                    return lengths, nodes, True
-                if visited & b:
-                    continue
-                if top >= 1 and (adj[v] >> s) & 1:
-                    lengths |= 1 << (top + 2)
-                visited |= b
-                top += 1
-                stack_v[top] = v
-                stack_rem[top] = adj[v] & above & ~visited
-        return lengths, nodes, False
-
-
 def _mask_to_set(mask):
     out = set()
     i = 0
@@ -216,13 +118,7 @@ def path_length_set(g, x, y, budget=None):
     """Exact set of lengths of simple (x, y)-paths in g."""
     if budget is None:
         budget = default_budget()
-    adj = _adj_masks(g)
-    if using_numba() and g.n <= 62:
-        arr = _np.array(adj, dtype=_np.int64)
-        mask, nodes, truncated = _path_lengths_nb(arr, g.n, x, y, budget)
-        mask = int(mask)
-    else:
-        mask, nodes, truncated = _path_lengths_py(adj, g.n, x, y, budget)
+    mask, _nodes, truncated = _path_lengths_py(_adj_masks(g), g.n, x, y, budget)
     if truncated:
         raise BudgetExceeded(f"path enumeration exceeded {budget} nodes")
     return _mask_to_set(mask)
@@ -232,13 +128,7 @@ def cycle_length_set(g, budget=None):
     """Exact set of cycle lengths of g (its cycle spectrum)."""
     if budget is None:
         budget = default_budget()
-    adj = _adj_masks(g)
-    if using_numba() and g.n <= 62:
-        arr = _np.array(adj, dtype=_np.int64)
-        mask, nodes, truncated = _cycle_lengths_nb(arr, g.n, budget)
-        mask = int(mask)
-    else:
-        mask, nodes, truncated = _cycle_lengths_py(adj, g.n, budget)
+    mask, _nodes, truncated = _cycle_lengths_py(_adj_masks(g), g.n, budget)
     if truncated:
         raise BudgetExceeded(f"cycle enumeration exceeded {budget} nodes")
     return _mask_to_set(mask)

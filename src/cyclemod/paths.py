@@ -27,14 +27,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (
-    BudgetExceeded,
     Disconnected,
     HypothesisNotMet,
     InvalidArgument,
     InvalidWitness,
+    InvariantViolated,
     NotRooted2Connected,
 )
-from .graph import Graph, components, edges_between, induced, contract_set, shortest_path
+from .graph import Graph, components, induced, contract_set, shortest_path
 from .decompose import (
     block_cut_tree,
     feasible_end_blocks,
@@ -154,68 +154,54 @@ def _check_hypothesis(g, x, y, k, flex):
         )
 
 
-def _aux_graph(g, real_verts, super_attach=()):
-    """Graph on sorted(real_verts) (original induced edges) plus one extra
-    "super" vertex per attachment list, wired to the listed real vertices.
-
-    Returns (aux, to_orig, super_ids); aux ids < len(to_orig) are real.
-    """
-    to_orig = sorted(set(real_verts))
-    inv = {v: i for i, v in enumerate(to_orig)}
-    edges = [
-        (inv[u], inv[v]) for u in to_orig for v in g.adj[u] if v in inv and u < v
-    ]
-    n = len(to_orig)
-    super_ids = []
-    for attach in super_attach:
-        attach = sorted(set(attach))
-        if not attach:
-            raise HypothesisNotMet("super vertex with no attachments")
-        for v in attach:
-            edges.append((inv[v], n))
-        super_ids.append(n)
-        n += 1
-    return Graph(n, edges), to_orig, super_ids
-
-
 def _fits(aux, ax, ay, k, flex):
-    """Preconditions of a recursive call, checked before descending."""
-    if aux.n < 3 or ax == ay:
+    """Preconditions of a recursive call, checked before descending; the
+    only hypothesis check a recursive call gets."""
+    if k < 1 or aux.n < 3 or ax == ay:
         return False
     if aux.rooted_min_degree(ax, ay) < _budget(k, flex):
         return False
     return is_rooted_2_connected(aux, ax, ay)
 
 
-def _map_family(fam, to_orig):
-    members = [tuple(to_orig[v] for v in m) for m in fam.members]
-    return make_path_family(members, cls=fam.cls)
+def _recurse_on(g, verts, a, b, k, flex, trace):
+    """k (a, b)-paths found by recursing on G[verts], lifted back to the
+    ids of g; None when the subproblem misses the hypothesis.
 
+    A root is a vertex of `verts` or a super vertex, given as a pair
+    (attach, options): a new vertex adjacent to each vertex of `attach`.
+    The lift replaces a super root by the smallest vertex of `options`
+    adjacent to its neighbor on the path.
+    """
+    sub, to_orig = induced(g, verts)
+    inv = {v: i for i, v in enumerate(to_orig)}
+    n, extra, roots = sub.n, [], []
+    for r in (a, b):
+        if isinstance(r, tuple):
+            extra += [(inv[v], n) for v in r[0]]
+            roots.append(n)
+            n += 1
+        else:
+            roots.append(inv[r])
+    if extra:
+        sub = Graph(n, sub.edges() + extra)
+    if not _fits(sub, roots[0], roots[1], k, flex):
+        return None
+    fam = _engine(sub, roots[0], roots[1], k, flex, trace)
 
-def _realize(member, to_orig, head=None, tail=None):
-    """Aux-graph path back to original ids; a super vertex at the head/tail
-    is replaced via the supplied chooser (called with its real neighbor)."""
-    n_real = len(to_orig)
-    seq = [to_orig[v] if v < n_real else None for v in member]
-    if seq[0] is None:
-        seq[0] = head(seq[1])
-    if seq[-1] is None:
-        seq[-1] = tail(seq[-2])
-    if None in seq:
-        raise InvalidWitness("super vertex in the interior of a lifted path")
-    return tuple(seq)
-
-
-def _pick_from(g, options):
-    options = set(options)
-
-    def chooser(real_neighbor):
-        cands = sorted(options & g.adj[real_neighbor])
+    def lift(v, root, near):
+        if v < len(to_orig):
+            return to_orig[v]
+        cands = set(root[1]) & g.adj[to_orig[near]]
         if not cands:
             raise InvalidWitness("no real vertex realizes the super attachment")
-        return cands[0]
+        return min(cands)
 
-    return chooser
+    members = [
+        (lift(m[0], a, m[1]),) + tuple(to_orig[v] for v in m[1:-1]) + (lift(m[-1], b, m[-2]),)
+        for m in fam.members
+    ]
+    return make_path_family(members, cls=fam.cls)
 
 
 def _path_within(g, a, b, allowed):
@@ -263,7 +249,7 @@ def _cross_concat(p_members, q_fam, tail=()):
 
 
 def _engine(g, x, y, k, flex, trace):
-    _check_hypothesis(g, x, y, k, flex)
+    """The recursion; callers have checked the hypothesis for (g, x, y, k)."""
     if g.degree(x) > g.degree(y):
         return reverse_family(_engine(g, y, x, k, flex, trace))
 
@@ -291,16 +277,11 @@ def _dispatch(g, x, y, k, flex, trace):
         return _split_at_end_block(g, x, y, k, flex, trace)
     if g.has_edge(x, y):
         trace.record("drop-xy-edge")
-        return _dispatch_checked(g.without_edge(x, y), x, y, k, flex, trace)
+        return _engine(g.without_edge(x, y), x, y, k, flex, trace)
     core = find_core(g, x, y)
     if core is None:
         return _case_no_core(g, x, y, k, flex, trace)
     return _case_core(g, x, y, k, flex, trace, core)
-
-
-def _dispatch_checked(g, x, y, k, flex, trace):
-    fam = _engine(g, x, y, k, flex, trace)
-    return fam
 
 
 def _attempt(trace, tag, fn):
@@ -336,20 +317,18 @@ def _split_at_end_block(g, x, y, k, flex, trace):
         b = next(v for j, v in bct.incidence if j == i)
         if len(blk) >= 3:
             trace.record("end-block-of-x")
-            sub, to_orig = induced(g, blk)
-            inv = {v: j for j, v in enumerate(to_orig)}
-            fam = _engine(sub, inv[x], inv[b], k, flex, trace)
-            fam = _map_family(fam, to_orig)
+            fam = _recurse_on(g, blk, x, b, k, flex, trace)
+            if fam is None:
+                return None
             bridge = _path_within(g, b, y, set(range(g.n)) - (set(blk) - {b}))
             if bridge is None:
                 raise Disconnected("no path from the cut vertex to y")
             return combine_across_cut(fam, bridge, side="suffix")
         # the end block is the single edge xb: recurse on G - x
         trace.record("strip-degree-one-x")
-        sub, to_orig = induced(g, set(range(g.n)) - {x})
-        inv = {v: j for j, v in enumerate(to_orig)}
-        fam = _engine(sub, inv[b], inv[y], k, flex, trace)
-        fam = _map_family(fam, to_orig)
+        fam = _recurse_on(g, set(range(g.n)) - {x}, b, y, k, flex, trace)
+        if fam is None:
+            return None
         return combine_across_cut(fam, (x, b), side="prefix")
     return None
 
@@ -360,11 +339,8 @@ def _split_at_end_block(g, x, y, k, flex, trace):
 def _case_no_core(g, x, y, k, flex, trace):
     nx = set(g.adj[x])
     for v in range(g.n):
-        if v in (x, y):
-            continue
-        assert len(g.adj[v] & (nx - {v})) <= 1, (
-            "4-cycle through x exists but no core was found"
-        )
+        if v not in (x, y) and len(g.adj[v] & (nx - {v})) > 1:
+            raise InvariantViolated("4-cycle through x exists but no core was found")
     gstar, to_new, x_star = contract_set(g, nx | {x})
     orig_of = {}
     for v in range(g.n):
@@ -425,14 +401,11 @@ def _tiny_semi(g, x, y):
 
 
 def _contract_recurse(g, x, y, k, flex, trace, gstar, x_star, y_star, blk, orig_of):
-    sub, to_orig_star = induced(gstar, blk)
-    inv = {v: j for j, v in enumerate(to_orig_star)}
-    if not _fits(sub, inv[x_star], inv[y_star], k, flex):
+    fam = _recurse_on(gstar, blk, x_star, y_star, k, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(sub, inv[x_star], inv[y_star], k, flex, trace)
     members = []
-    for m in fam.members:
-        star_path = [to_orig_star[v] for v in m]
+    for star_path in fam.members:
         real_tail = [orig_of[w] for w in star_path[1:]]
         u = min(g.adj[x] & g.adj[real_tail[0]])
         members.append(tuple([x, u] + real_tail))
@@ -445,7 +418,8 @@ def _twin_roots(g, x, y, k, flex, trace):
     nx = set(g.adj[x])
     if not set(g.adj[y]) <= nx:
         return None
-    assert set(g.adj[y]) == nx, "degree order should force equal neighborhoods"
+    if set(g.adj[y]) != nx:
+        raise InvariantViolated("degree order should force equal neighborhoods")
     outside = set(range(g.n)) - nx - {x, y}
     for comp in components(g, ignore=nx | {x, y}):
         if not set(comp) <= outside:
@@ -469,14 +443,10 @@ def _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side):
     t_attach = [v for v in comp if g.adj[v] & t_side]
     if not s_attach or not t_attach:
         return None
-    aux, to_orig, (s_sup, t_sup) = _aux_graph(g, comp, [s_attach, t_attach])
-    if not _fits(aux, s_sup, t_sup, k, flex):
+    fam = _recurse_on(g, comp, (s_attach, s_side), (t_attach, t_side), k, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(aux, s_sup, t_sup, k, flex, trace)
-    members = []
-    for m in fam.members:
-        real = _realize(m, to_orig, head=_pick_from(g, s_side), tail=_pick_from(g, t_side))
-        members.append((x,) + real + (y,))
+    members = [(x,) + m + (y,) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
 
 
@@ -611,19 +581,13 @@ def _side_block_to_s(g, x, y, k, flex, trace, core, s, d_set):
         attach = [v for v in blk_orig if g.adj[v] & s_rest]
         if not attach:
             continue
-        aux, to_orig, (s_sup,) = _aux_graph(g, blk_orig, [attach])
-        b_aux = to_orig.index(b)
-        need = k - l + 2
-        if not _fits(aux, s_sup, b_aux, need, flex):
+        fam = _recurse_on(g, blk_orig, (attach, s_rest), b, k - l + 2, flex, trace)
+        if fam is None:
             continue
-        fam = _engine(aux, s_sup, b_aux, need, flex, trace)
         tail = _exit_to_set(g, b, (d_set - blk_orig) | {b}, t_set)
         if tail is None:
             continue
-        members = []
-        for m in fam.members:
-            real = _realize(m, to_orig, head=_pick_from(g, s_rest))
-            members.append(join_paths(real, tail))
+        members = [join_paths(m, tail) for m in fam.members]
         att = make_path_family(members, cls=fam.cls)
         return extend_from_core(g, core, TS_PATHS, att, k)
     return None
@@ -637,16 +601,9 @@ def _side_to_x_or_s(g, x, y, k, flex, trace, core, s, d_set):
     t_attach = [v for v in d_set if g.adj[v] & t_set]
     if not xs_attach or not t_attach:
         return None
-    aux, to_orig, (t_sup, xs_sup) = _aux_graph(g, d_set, [t_attach, xs_attach])
-    need = k - l + 1
-    if not _fits(aux, t_sup, xs_sup, need, flex):
+    att = _recurse_on(g, d_set, (t_attach, t_set), (xs_attach, {x, s}), k - l + 1, flex, trace)
+    if att is None:
         return None
-    fam = _engine(aux, t_sup, xs_sup, need, flex, trace)
-    members = [
-        _realize(m, to_orig, head=_pick_from(g, t_set), tail=_pick_from(g, {x, s}))
-        for m in fam.members
-    ]
-    att = make_path_family(members, cls=fam.cls)
     return extend_from_core(g, core, TXS_PATHS, att, k)
 
 
@@ -664,14 +621,9 @@ def _side_single_t(g, x, y, k, flex, trace, core, s, d_set):
     attach = [v for v in d_set if g.adj[v] & s_rest]
     if not attach:
         return None
-    aux, to_orig, (s_sup,) = _aux_graph(g, d_set | {t}, [attach])
-    t_aux = to_orig.index(t)
-    need = k - l + 2
-    if not _fits(aux, t_aux, s_sup, need, flex):
+    att = _recurse_on(g, d_set | {t}, t, (attach, s_rest), k - l + 2, flex, trace)
+    if att is None:
         return None
-    fam = _engine(aux, t_aux, s_sup, need, flex, trace)
-    members = [_realize(m, to_orig, tail=_pick_from(g, s_rest)) for m in fam.members]
-    att = make_path_family(members, cls=fam.cls)
     return extend_from_core(g, core, TS_PATHS, att, k)
 
 
@@ -686,16 +638,9 @@ def _side_two_t(g, x, y, k, flex, trace, core, s, d_set):
     attach = [v for v in d_set if g.adj[v] & (t_set - {t})]
     if not attach:
         return None
-    aux, to_orig, (t_sup,) = _aux_graph(g, d_set | {t}, [attach])
-    t_aux = to_orig.index(t)
-    need = k - l + 1
-    if not _fits(aux, t_aux, t_sup, need, flex):
+    att = _recurse_on(g, d_set | {t}, t, (attach, t_set - {t}), k - l + 1, flex, trace)
+    if att is None:
         return None
-    fam = _engine(aux, t_aux, t_sup, need, flex, trace)
-    members = [
-        _realize(m, to_orig, tail=_pick_from(g, t_set - {t})) for m in fam.members
-    ]
-    att = make_path_family(members, cls=fam.cls)
     return extend_from_core(g, core, T_PATHS, att, k)
 
 
@@ -720,12 +665,9 @@ def _case_single_y(g, x, y, k, flex, trace, core):
 
 def _single_y_two_t(g, x, y, k, flex, trace, core):
     t1, t2 = sorted(core.t)
-    sub, to_orig = induced(g, set(range(g.n)) - {x, y})
-    inv = {v: j for j, v in enumerate(to_orig)}
-    if not _fits(sub, inv[t1], inv[t2], k, flex):
+    fam = _recurse_on(g, set(range(g.n)) - {x, y}, t1, t2, k, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(sub, inv[t1], inv[t2], k, flex, trace)
-    fam = _map_family(fam, to_orig)
     members = [(x,) + m + (y,) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
 
@@ -735,15 +677,13 @@ def _single_y_delete_pair(g, x, y, k, flex, trace, core, s, t):
     h_and_y = core.h_vertices() | {y}
     gp_verts = set(range(g.n)) - {s, t}
     sub, to_orig = induced(g, gp_verts)
-    inv = {v: j for j, v in enumerate(to_orig)}
 
     comps = components(sub)
     if len(comps) == 1 and is_2_connected(sub):
         def two_conn():
-            if not _fits(sub, inv[x], inv[y], k - 1, flex):
+            fam = _recurse_on(g, gp_verts, x, y, k - 1, flex, trace)
+            if fam is None:
                 return None
-            fam = _engine(sub, inv[x], inv[y], k - 1, flex, trace)
-            fam = _map_family(fam, to_orig)
             longest = fam.members[-1]
             extra = longest[:-1] + (s, t, y)
             return make_path_family(list(fam.members) + [extra], cls=fam.cls)
@@ -756,12 +696,9 @@ def _single_y_delete_pair(g, x, y, k, flex, trace, core, s, t):
                 if {to_orig[v] for v in comp} & h_and_y:
                     continue
                 d_orig = {to_orig[v] for v in comp}
-                dsub, d_to = induced(g, d_orig | {s, t})
-                dinv = {v: j for j, v in enumerate(d_to)}
-                if not _fits(dsub, dinv[s], dinv[t], k, flex):
+                fam = _recurse_on(g, d_orig | {s, t}, s, t, k, flex, trace)
+                if fam is None:
                     continue
-                fam = _engine(dsub, dinv[s], dinv[t], k, flex, trace)
-                fam = _map_family(fam, d_to)
                 tp = min(t_set - {t})
                 members = [(x,) + tuple(reversed(m)) + (tp, y) for m in fam.members]
                 return make_path_family(members, cls=fam.cls)
@@ -816,12 +753,9 @@ def _single_y_end_block(g, x, y, k, flex, trace, core, s, t, sub, to_orig):
 
 def _single_y_block_via_s(g, x, y, k, flex, trace, core, s, t, blk_orig, b, bridge, a):
     t_set = set(core.t)
-    bsub, b_to = induced(g, blk_orig | {s})
-    binv = {v: j for j, v in enumerate(b_to)}
-    if not _fits(bsub, binv[s], binv[b], k, flex):
+    fam = _recurse_on(g, blk_orig | {s}, s, b, k, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(bsub, binv[s], binv[b], k, flex, trace)
-    fam = _map_family(fam, b_to)
     if a in t_set:
         tail = bridge[1:] + (y,)
     else:
@@ -833,12 +767,9 @@ def _single_y_block_via_s(g, x, y, k, flex, trace, core, s, t, blk_orig, b, brid
 
 def _single_y_block_via_t(g, x, y, k, flex, trace, core, s, t, blk_orig, b, bridge, a):
     t_set = set(core.t)
-    bsub, b_to = induced(g, blk_orig | {t})
-    binv = {v: j for j, v in enumerate(b_to)}
-    if not _fits(bsub, binv[t], binv[b], k - 1, flex):
+    fam = _recurse_on(g, blk_orig | {t}, t, b, k - 1, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(bsub, binv[t], binv[b], k - 1, flex, trace)
-    fam = _map_family(fam, b_to)
     if a in t_set:
         spare = sorted(t_set - {t, a})
         if not spare:
@@ -927,12 +858,7 @@ def _detached_c(g, x, y, k, flex, trace, core):
     for v in c_set - {y}:
         if not (g.adj[v] - c_set) <= {x}:
             return None
-    sub, to_orig = induced(g, c_set | {x})
-    inv = {v: j for j, v in enumerate(to_orig)}
-    if not _fits(sub, inv[x], inv[y], k, flex):
-        return None
-    fam = _engine(sub, inv[x], inv[y], k, flex, trace)
-    return _map_family(fam, to_orig)
+    return _recurse_on(g, c_set | {x}, x, y, k, flex, trace)
 
 
 def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
@@ -942,12 +868,9 @@ def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
     attach = [v for v in blk if g.adj[v] & t_set]
     if not attach:
         return None
-    aux, to_orig, (t_sup,) = _aux_graph(g, blk, [attach])
-    b_aux = to_orig.index(b)
-    need = k - l
-    if need < 1 or not _fits(aux, t_sup, b_aux, need, flex):
+    fam = _recurse_on(g, blk, (attach, t_set), b, k - l, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(aux, t_sup, b_aux, need, flex, trace)
     if b == y:
         tail = ()
     else:
@@ -955,22 +878,16 @@ def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
         if bridge is None:
             return None
         tail = bridge
-    members = []
-    for m in fam.members:
-        real = _realize(m, to_orig, head=_pick_from(g, t_set))
-        members.append(join_paths(real, tail) if tail else real)
+    members = [join_paths(m, tail) if tail else m for m in fam.members]
     att = make_path_family(members, cls=fam.cls)
     return extend_from_core(g, core, TY_PATHS, att, k)
 
 
 def _block_through_x(g, x, y, k, flex, trace, core, blk, b):
     c_set = set(core.component_c)
-    sub, to_orig = induced(g, blk | {x})
-    inv = {v: j for j, v in enumerate(to_orig)}
-    if not _fits(sub, inv[x], inv[b], k, flex):
+    fam = _recurse_on(g, blk | {x}, x, b, k, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(sub, inv[x], inv[b], k, flex, trace)
-    fam = _map_family(fam, to_orig)
     bridge = _path_within(g, b, y, c_set - (blk - {b}))
     if bridge is None:
         return None
@@ -985,21 +902,15 @@ def _block_to_s(g, x, y, k, flex, trace, core, blk, b):
     attach = [v for v in blk if g.adj[v] & s_rest]
     if not attach:
         return None
-    aux, to_orig, (s_sup,) = _aux_graph(g, blk, [attach])
-    b_aux = to_orig.index(b)
     bridge = _path_within(g, b, y, c_set - (blk - {b}))
     if bridge is None:
         return None
 
     if l >= 2:
-        need = k - l + 1
-        if not _fits(aux, s_sup, b_aux, need, flex):
+        fam = _recurse_on(g, blk, (attach, s_rest), b, k - l + 1, flex, trace)
+        if fam is None:
             return None
-        fam = _engine(aux, s_sup, b_aux, need, flex, trace)
-        members = [
-            join_paths(_realize(m, to_orig, head=_pick_from(g, s_rest)), bridge)
-            for m in fam.members
-        ]
+        members = [join_paths(m, bridge) for m in fam.members]
         att = make_path_family(members, cls=fam.cls)
         return extend_from_core(g, core, SY_PATHS, att, k)
 
@@ -1010,14 +921,11 @@ def _block_to_s(g, x, y, k, flex, trace, core, blk, b):
     s = min(s_rest)
     if outside != {s}:
         return None
-    if not _fits(aux, s_sup, b_aux, k, flex):
+    fam = _recurse_on(g, blk, (attach, {s}), b, k, flex, trace)
+    if fam is None:
         return None
-    fam = _engine(aux, s_sup, b_aux, k, flex, trace)
     t = min(set(core.t) - set(bridge))
-    members = [
-        join_paths((x, t, s), _realize(m, to_orig, head=_pick_from(g, {s})), bridge)
-        for m in fam.members
-    ]
+    members = [join_paths((x, t, s), m, bridge) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
 
 
@@ -1035,12 +943,7 @@ def _case_big_c_deep(g, x, y, k, flex, trace, core, c_sub, to_oc, inv_c, feas):
 
     def fixed_paths(blk, b, v, kk):
         """kk (v, b)-paths satisfying the length condition inside B u {v}."""
-        sub, to_orig = induced(g, blk | {v})
-        inv = {w: j for j, w in enumerate(to_orig)}
-        if not _fits(sub, inv[v], inv[b], kk, False):
-            return None
-        fam = _engine(sub, inv[v], inv[b], kk, False, trace)
-        return _map_family(fam, to_orig)
+        return _recurse_on(g, blk | {v}, v, b, kk, False, trace)
 
     # is there an end block of C holding y as a non-cut vertex?
     bct = block_cut_tree(c_sub)
@@ -1178,12 +1081,9 @@ def _heavy_vertex_detour(g, x, y, k, trace, core, s, c_set, cprime, feas, fixed_
 
 
 def _y_block_family(g, x, y, k, flex, trace, by_blk, by, p_primed):
-    sub, to_orig = induced(g, by_blk)
-    inv = {v: j for j, v in enumerate(to_orig)}
-    if not _fits(sub, inv[by], inv[y], k - 1, flex):
+    q_fam = _recurse_on(g, by_blk, by, y, k - 1, flex, trace)
+    if q_fam is None:
         return None
-    q_fam = _engine(sub, inv[by], inv[y], k - 1, flex, trace)
-    q_fam = _map_family(q_fam, to_orig)
     return _cross_concat(p_primed.members, q_fam)
 
 
@@ -1268,12 +1168,9 @@ def _w_block_endgame(
 
 
 def _w_chain(g, x, y, k, flex, trace, c_set, blk1, b1, w_blk, w, by, p_fam):
-    sub, to_orig = induced(g, w_blk)
-    inv = {v: j for j, v in enumerate(to_orig)}
-    if not _fits(sub, inv[w], inv[by], k - 1, flex):
+    r_fam = _recurse_on(g, w_blk, w, by, k - 1, flex, trace)
+    if r_fam is None:
         return None
-    r_fam = _engine(sub, inv[w], inv[by], k - 1, flex, trace)
-    r_fam = _map_family(r_fam, to_orig)
     bridge = _path_within(g, b1, w, c_set - (blk1 - {b1}) - (w_blk - {w}) - {y})
     if bridge is None:
         return None
@@ -1342,6 +1239,7 @@ def _k3_closers(g, x, y, k, flex, core, s, by, p_primed, a_opts):
 def find_paths_length(g, x, y, k, trace=None):
     """k (x, y)-paths satisfying the length condition; needs (G, x, y)
     rooted 2-connected with min degree 2k outside the roots."""
+    _check_hypothesis(g, x, y, k, False)
     if trace is None:
         trace = ExtractionTrace()
     return _engine(g, x, y, k, False, trace)
@@ -1350,6 +1248,7 @@ def find_paths_length(g, x, y, k, trace=None):
 def find_paths_flex(g, x, y, k, trace=None):
     """k (x, y)-paths satisfying the length or the semi-length condition;
     needs min degree 2k - 1 outside the roots."""
+    _check_hypothesis(g, x, y, k, True)
     if trace is None:
         trace = ExtractionTrace()
     return _engine(g, x, y, k, True, trace)

@@ -9,8 +9,6 @@ permutations) provides an independent cross-check at n <= 5.
 
 from itertools import combinations, permutations
 
-import networkx as nx
-
 from .graph import Graph
 from .decompose import is_2_connected
 from .errors import InvalidArgument
@@ -33,6 +31,8 @@ def connected_graphs(n):
     isomorphism class, from the atlas."""
     if not 1 <= n <= 7:
         raise InvalidArgument("the atlas covers up to 7 vertices")
+    import networkx as nx  # only the atlas needs it; keeps `cyclemod` startup light
+
     out = []
     for G in nx.graph_atlas_g():
         if G.number_of_nodes() != n or not nx.is_connected(G):

@@ -14,8 +14,13 @@
 7. certificates round-trip through emit -> verify, and single-field
    mutations are caught;
 8. the constructive extractor never needs its oracle fallback at n <= 7.
+
+The exhaustive loops of criteria 1 and 2 also hash every certificate they
+produce, in order, and compare against a recorded SHA-256: a refactoring of
+the extractors must leave every family, class and branch tag byte-identical.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -33,7 +38,7 @@ from cyclemod.cycles import (
     find_k_cycles,
     find_nonsep_induced_odd_cycle,
 )
-from cyclemod.decompose import is_rooted_2_connected
+from cyclemod.decompose import is_2_connected, is_rooted_2_connected
 from cyclemod.errors import GenerationInfeasible, HypothesisNotMet
 from cyclemod.families import (
     CONSECUTIVE,
@@ -57,7 +62,10 @@ from cyclemod.paths import (
     find_paths_length,
     oracle_paths,
 )
-from cyclemod.smallgraphs import two_connected_graphs
+from cyclemod.smallgraphs import connected_graphs, two_connected_graphs
+
+CYCLES_SHA256 = "c2a05094c4f10dc4ef2cdfb301838d4b2cda0f16010ca7197f0221e73efdaa4e"
+PATHS_SHA256 = "8e0c991fd82a61cc65d1773586c7f021eab4e2a7f4b346d5378018d5d7e2bc49"
 
 
 def all_two_connected_up_to_7():
@@ -84,6 +92,7 @@ def glued_pair(d, seed):
 
 def test_every_small_2connected_graph_yields_k_cycles():
     checked = 0
+    digest = hashlib.sha256()
     for g in all_two_connected_up_to_7():
         spectrum = cycle_spectrum(g)
         for k in range(1, g.min_degree()):
@@ -94,17 +103,23 @@ def test_every_small_2connected_graph_yields_k_cycles():
             assert fam.cls.kind in (CONSECUTIVE, LENGTH)
             assert set(fam.lengths()) <= spectrum
             assert branch in ("I", "II", "III")
+            cert = certify.make_certificate(g, "cycles", k, fam, branch=branch,
+                                            trace=trace)
+            digest.update(certify.to_json(cert).encode())
             checked += 1
     assert checked == 750  # (graph, k) pairs with delta >= k + 1 at n <= 7
+    assert digest.hexdigest() == CYCLES_SHA256
 
 
 # -- criterion 2: path families, exhaustively at n <= 7 -----------------------
 
 
 def test_every_small_rooted_graph_yields_k_paths():
-    checked = 0
+    checked = {True: 0, False: 0}  # keyed by "the host is 2-connected"
+    digest = hashlib.sha256()
     for n in range(3, 8):
-        for g in two_connected_graphs(n):
+        for g in connected_graphs(n):
+            two_conn = is_2_connected(g)
             for x, y in itertools.combinations(range(g.n), 2):
                 if not is_rooted_2_connected(g, x, y):
                     continue
@@ -122,9 +137,15 @@ def test_every_small_rooted_graph_yields_k_paths():
                         else:
                             assert fam.cls.kind == LENGTH
                         assert not trace.constructive_gap
-                        checked += 1
-    # admissible (g, x, y, mode, k) cases over all 2-connected graphs, n <= 7
-    assert checked == 27273
+                        cert = certify.make_certificate(g, "paths", k, fam, x=x, y=y,
+                                                        trace=trace)
+                        digest.update(certify.to_json(cert).encode())
+                        checked[two_conn] += 1
+    # admissible (g, x, y, mode, k) cases over all connected graphs, n <= 7:
+    # 2-connected hosts, and hosts with a cut vertex (these reach the
+    # end-block split of the engine)
+    assert checked == {True: 27273, False: 3529}
+    assert digest.hexdigest() == PATHS_SHA256
 
 
 # -- criterion 3: sharpness of the degree bounds ------------------------------

@@ -1,17 +1,21 @@
 """Block-cut decomposition and connectivity predicates."""
 
+import itertools
+
 import networkx as nx
 from hypothesis import given, strategies as st
 
-from cyclemod.graph import Graph, complete_graph, cycle_graph
+from cyclemod.graph import Graph, complete_graph, cycle_graph, is_connected
 from cyclemod.decompose import (
     block_cut_tree,
     feasible_end_blocks,
     find_2_separation,
     is_2_connected,
     is_rooted_2_connected,
+    two_separations,
     vertex_connectivity_at_least,
 )
+from cyclemod.smallgraphs import connected_graphs as atlas_connected
 
 
 def _nx(g):
@@ -58,6 +62,32 @@ def test_rooted_2_connected():
     assert not is_rooted_2_connected(g, 0, 2)
 
 
+def _rooted_via_blocks(g, x, y):
+    """Reference reading of rooted 2-connectivity: connected, order >= 3,
+    <= 2 end blocks, every end block contains x or y as a non-cut vertex."""
+    if g.n < 3 or not is_connected(g):
+        return False
+    bct = block_cut_tree(g)
+    if len(bct.end_blocks) > 2:
+        return False
+    cuts = set(bct.cut_vertices)
+    for i in bct.end_blocks:
+        blk = set(bct.blocks[i])
+        if not ((x in blk and x not in cuts) or (y in blk and y not in cuts)):
+            return False
+    return True
+
+
+def test_rooted_2_connected_matches_end_block_reading():
+    checked = 0
+    for n in range(3, 8):
+        for g in atlas_connected(n):
+            for x, y in itertools.combinations(range(n), 2):
+                assert is_rooted_2_connected(g, x, y) == _rooted_via_blocks(g, x, y), (g.edges(), x, y)
+                checked += 1
+    assert checked == 19845  # root pairs of the 994 connected graphs with 3 <= n <= 7
+
+
 def test_find_2_separation():
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     sep = find_2_separation(g)
@@ -65,6 +95,20 @@ def test_find_2_separation():
     u, v = sep.cut
     assert not nx.is_connected(_nx(g).subgraph(set(range(6)) - {u, v}))
     assert find_2_separation(complete_graph(4)) is None
+
+
+def test_two_separations_enumerates_every_cut_pair_in_order():
+    # a 6-cycle: the 2-cuts are exactly the non-adjacent pairs
+    g = cycle_graph(6)
+    seps = list(two_separations(g))
+    assert [s.cut for s in seps] == [
+        (u, v) for u, v in itertools.combinations(range(6), 2) if not g.has_edge(u, v)
+    ]
+    for sep in seps:
+        assert set(sep.a) & set(sep.b) == set(sep.cut)
+        assert set(sep.a) | set(sep.b) == set(range(6))
+        assert min(set(sep.a) - set(sep.cut)) < min(set(sep.b) - set(sep.cut))
+    assert find_2_separation(g) == seps[0]
 
 
 def test_vertex_connectivity_examples():

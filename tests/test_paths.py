@@ -12,6 +12,7 @@ from cyclemod.families import LENGTH, SEMI, validate_path_family
 from cyclemod.oraclekern import path_length_set
 from cyclemod.paths import (
     ExtractionTrace,
+    _recurse_on,
     find_paths_flex,
     find_paths_length,
     find_pattern,
@@ -101,3 +102,14 @@ def test_sharpness_k3_has_neither():
     for x, y in itertools.combinations(range(3), 2):
         assert oracle_paths(g, x, y, 2, flex=False) is None
         assert oracle_paths(g, x, y, 2, flex=True) is None
+
+
+def test_recurse_on_lifts_a_super_root_and_refuses_k_below_one():
+    # G[{2, 3, 4, 5}] plus a super root wired to {2, 3} that stands for 0
+    g = complete_graph(6)
+    sup = ((2, 3), {0})
+    fam = _recurse_on(g, {2, 3, 4, 5}, sup, 5, 1, False, ExtractionTrace())
+    validate_path_family(g, fam, 0, 5)
+    assert fam.members[0][1] in (2, 3)
+    # k - l + 1 <= 0 in the attachment builders must decline, not recurse
+    assert _recurse_on(g, {2, 3, 4, 5}, sup, 5, 0, False, ExtractionTrace()) is None

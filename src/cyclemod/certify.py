@@ -87,6 +87,8 @@ def verify(cert):
     edges = gspec["edges"]
     if not isinstance(n, int) or n < 0:
         return _fail("bad vertex count")
+    if not isinstance(edges, list):
+        return _fail("malformed edge list")
     seen = set()
     for e in edges:
         if (not isinstance(e, list)) or len(e) != 2:
@@ -103,7 +105,9 @@ def verify(cert):
     family = cert["family"]
     if not isinstance(k, int) or k < 1:
         return _fail("bad k")
-    if not isinstance(family, list) or len(family) != k:
+    if not isinstance(family, list):
+        return _fail("malformed family")
+    if len(family) != k:
         return _fail(f"family size {len(family)} != k = {k}")
 
     is_cycles = cert["command"] == "cycles"
@@ -147,6 +151,8 @@ def verify(cert):
         if sorted(residues.keys()) != sorted(str(r) for r in range(k)):
             return _fail(f"residue keys are not exactly 0..{k - 1}")
         for key, m in residues.items():
+            if not isinstance(m, list) or not all(isinstance(v, int) for v in m):
+                return _fail(f"malformed residue witness {m!r}")
             m = tuple(m)
             if not cycle_ok(g, m):
                 return _fail(f"residue witness is not a cycle: {list(m)}")

@@ -23,9 +23,7 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
     InvariantViolated,
-    NotRooted2Connected,
 )
-from .decompose import is_rooted_2_connected
 from .families import (
     LENGTH,
     SEMI,
@@ -76,9 +74,10 @@ def find_core(g, x, y):
     maximum size and T equal to *all* common neighbors of S (minus y), the
     caps C3/C4 hold automatically: a vertex adjacent to all of S would
     belong to T, and a vertex with l + 2 neighbors in T would extend S.
+
+    Precondition, not checked here: (G, x, y) is rooted 2-connected.  The
+    path engine establishes it before it asks for a core.
     """
-    if not is_rooted_2_connected(g, x, y):
-        raise NotRooted2Connected("find_core needs (g, x, y) rooted 2-connected")
     others = [v for v in range(g.n) if v != x and v != y]
     best = None
     best_key = None

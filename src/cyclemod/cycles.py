@@ -26,27 +26,29 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import components, contract_set, induced, is_bipartite, is_connected
+from .graph import contract_set, induced, is_bipartite, is_connected
 from .decompose import (
     block_cut_tree,
     is_2_connected,
+    leaf_blocks,
     two_separations,
     vertex_connectivity_at_least,
 )
 from .families import (
     CONSECUTIVE,
     LENGTH,
-    SEMI,
     FamilyClass,
     close_cycle,
     glue_two_sided_length,
     glue_two_sided_semilength,
     join_paths,
+    length_rows,
     make_cycle_family,
     make_path_family,
     odd_cycle_fan,
     odd_cycle_x_fan,
     residues_mod_k,
+    semi_rows,
     validate_cycle_family,
 )
 from .oraclekern import cycle_length_set, find_cycle_with_length
@@ -180,15 +182,9 @@ def check_witness(g, w):
         return False, f"unknown witness kind {w.kind!r}"
     rest = set(range(g.n)) - cset
     if rest:
+        # G - V(C) is connected: _nonseparating passed above
         sub, to_orig = induced(g, rest)
-        cuts = set()
-        if is_connected(sub):
-            cuts = {to_orig[v] for v in block_cut_tree(sub).cut_vertices}
-        else:
-            for comp in components(sub):
-                if len(comp) >= 2:
-                    csub, cto = induced(sub, comp)
-                    cuts |= {to_orig[cto[v]] for v in block_cut_tree(csub).cut_vertices}
+        cuts = {to_orig[v] for v in block_cut_tree(sub).cut_vertices}
         n_c = len(c)
         for v in rest - cuts:
             hits = g.adj[v] & cset
@@ -212,7 +208,7 @@ def find_nonsep_induced_odd_cycle(g):
     for length in range(3, g.n + 1, 2):
         for verts in combinations(range(g.n), length):
             order = _cyclic_order(g, verts)
-            if order is None or not _nonseparating(g, verts):
+            if order is None:
                 continue
             kind = WITNESS_TRIANGLE if length == 3 else WITNESS_TWO_NEIGHBOR
             w = OddCycleWitness(order, kind)
@@ -392,20 +388,9 @@ def _long_witness(g, k, c, trace):
         return None
 
     # candidate (block, cut-vertex) pairs; the whole of G - V(C) when it is
-    # 2-connected (any anchor vertex works as the degenerate cut)
-    cands = []
-    end_blocks = []
-    if is_2_connected(sub) or sub.n <= 2:
-        for b in rest:
-            cands.append((set(rest), b))
-    else:
-        bct = block_cut_tree(sub)
-        for i in bct.end_blocks:
-            blk = {to_orig[v] for v in bct.blocks[i]}
-            bs = [to_orig[v] for j, v in bct.incidence if j == i]
-            if bs:
-                cands.append((blk, bs[0]))
-                end_blocks.append((blk, bs[0]))
+    # a single block (any anchor vertex works as the degenerate cut)
+    end_blocks = [({to_orig[v] for v in blk}, to_orig[b]) for blk, b in leaf_blocks(sub)]
+    cands = end_blocks or [(set(rest), b) for b in rest]
 
     for blk, b in cands:
         fam = _fan_from_block(g, k, l, phi, c, blk, b, rest, trace)
@@ -453,8 +438,6 @@ def _block_paths(g, blk, b, x, kk, flex, trace):
 
 
 def _bridge_out(g, b, blk, rest, y):
-    if y == b:
-        return (b,)
     return _path_within(g, b, y, (set(rest) - blk) | {b, y})
 
 
@@ -465,15 +448,14 @@ def _attempt_x_fan(g, k, l, c, rot, u, x, blk, b, y_opts, rest, trace):
     if l - 1 < 1:
         return None
     fam = _block_paths(g, blk, b, x, l - 1, False, trace)
-    if fam is None or fam.cls.kind != LENGTH:
+    if fam is None:
         return None
     for y in y_opts:
         bridge = _bridge_out(g, b, blk, rest, y)
         if bridge is None:
             continue
         try:
-            members = [join_paths(p, bridge, (y, apex)) if y != b else join_paths(p, (b, apex))
-                       for p in fam.members]
+            members = [join_paths(p, bridge, (y, apex)) for p in fam.members]
             att = make_path_family(members, cls=fam.cls)
             cyc = odd_cycle_x_fan(tuple(rot), u, x, att, l)
         except _BRANCH_ERRORS:
@@ -490,17 +472,12 @@ def _attempt_u_fan(g, k, l, phi, c, rot, u, x, blk, b, y_opts, rest, trace):
     fam = _block_paths(g, blk, b, x, l, phi == 0, trace)
     if fam is None:
         return None
-    if phi == 1 and fam.cls.kind != LENGTH:
-        return None
     for y in y_opts:
         bridge = _bridge_out(g, b, blk, rest, y)
         if bridge is None:
             continue
         try:
-            members = [
-                join_paths((u,) + p, bridge, (y, apex)) if y != b else join_paths((u,) + p, (b, apex))
-                for p in fam.members
-            ]
+            members = [join_paths((u,) + p, bridge, (y, apex)) for p in fam.members]
             att = make_path_family(members, cls=fam.cls)
             cyc = odd_cycle_fan(tuple(rot), u, att, phi)
         except _BRANCH_ERRORS:
@@ -554,20 +531,16 @@ def _cross_block_paths(g, l, phi, blk1, b1, x1, blk2, b2, x2, rest, trace):
     if bridge is None:
         return None
 
-    def closed(p_fam, q_fam):
-        # rows (P1, Qi) then (Pi, Q_last): lengths step by 2 throughout
-        rows = [join_paths(p_fam.members[0], bridge, q) for q in q_fam.members]
-        rows += [
-            join_paths(p, bridge, q_fam.members[-1]) for p in p_fam.members[1:]
-        ]
-        return make_path_family(rows, cls=FamilyClass(LENGTH))
+    def closed(rows):
+        members = [join_paths(a, bridge, b) for a, b in rows]
+        return make_path_family(members, cls=FamilyClass(LENGTH))
 
     if phi == 0:
         p_fam = _block_paths(g, blk1, b1, x1, l - 1, False, trace)
         q_fam = _reverse_side(g, blk2, b2, x2, l - 1, False, trace)
         if p_fam is None or q_fam is None:
             return None
-        return closed(p_fam, q_fam)
+        return closed(length_rows(p_fam.members, q_fam.members))
 
     p_fam = _block_paths(g, blk1, b1, x1, l, True, trace)
     if p_fam is None:
@@ -576,7 +549,7 @@ def _cross_block_paths(g, l, phi, blk1, b1, x1, blk2, b2, x2, rest, trace):
         q_fam = _reverse_side(g, blk2, b2, x2, l - 1, False, trace)
         if q_fam is None:
             return None
-        return closed(p_fam, q_fam)
+        return closed(length_rows(p_fam.members, q_fam.members))
     q_fam = _reverse_side(g, blk2, b2, x2, l, True, trace)
     if q_fam is None:
         return None
@@ -584,10 +557,8 @@ def _cross_block_paths(g, l, phi, blk1, b1, x1, blk2, b2, x2, rest, trace):
         p_short = _block_paths(g, blk1, b1, x1, l - 1, False, trace)
         if p_short is None:
             return None
-        rows = [join_paths(p_short.members[0], bridge, q) for q in q_fam.members]
-        rows += [join_paths(p, bridge, q_fam.members[-1]) for p in p_short.members[1:]]
-        return make_path_family(rows, cls=FamilyClass(LENGTH))
-    return _double_semi_rows(p_fam, q_fam, bridge)
+        return closed(length_rows(p_short.members, q_fam.members))
+    return closed(semi_rows(p_fam.members, p_fam.cls.switch, q_fam.members, q_fam.cls.switch))
 
 
 def _reverse_side(g, blk, b, x, kk, flex, trace):
@@ -595,28 +566,8 @@ def _reverse_side(g, blk, b, x, kk, flex, trace):
     fam = _block_paths(g, blk, b, x, kk, flex, trace)
     if fam is None:
         return None
-    if flex and kk > 1 and fam.cls.kind not in (LENGTH, SEMI):
-        return None
     members = [tuple(reversed(m)) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
-
-
-def _double_semi_rows(p_fam, q_fam, bridge):
-    """Both sides semi-length with l members and switches q, r: 2l - 2 rows
-    whose unit steps cancel into a length-condition family.  Schedule:
-    (Q1,Ri) i<=r, (Qi,Rr) 2<=i<=q, (Q_{q+1},R_{r+1}),
-    (Q_{q+1},Ri) r+2<=i<=l, (Qi,Rl) q+2<=i<=l."""
-    q = p_fam.cls.switch
-    r = q_fam.cls.switch
-    p, w = p_fam.members, q_fam.members
-    l = len(p)
-    rows = [(p[0], w[i - 1]) for i in range(1, r + 1)]
-    rows += [(p[i - 1], w[r - 1]) for i in range(2, q + 1)]
-    rows += [(p[q], w[r])]
-    rows += [(p[q], w[i - 1]) for i in range(r + 2, l + 1)]
-    rows += [(p[i - 1], w[l - 1]) for i in range(q + 2, l + 1)]
-    members = [join_paths(a, bridge, b) for a, b in rows]
-    return make_path_family(members, cls=FamilyClass(LENGTH))
 
 
 def _arc_desc(rot, i, j):

@@ -104,6 +104,14 @@ def block_cut_tree(g):
     return BlockCutTree(tuple(blocks), cut_vertices, incidence, end_blocks)
 
 
+def leaf_blocks(g):
+    """(block, cut vertex) for each end block of a connected graph, in
+    block-index order; empty when g is a single block."""
+    bct = block_cut_tree(g)
+    ends = set(bct.end_blocks)
+    return [(bct.blocks[i], v) for i, v in bct.incidence if i in ends]
+
+
 def cut_vertices(g):
     return block_cut_tree(g).cut_vertices
 
@@ -171,18 +179,9 @@ def feasible_end_blocks(c, y):
         raise Disconnected("feasible_end_blocks needs a connected graph")
     if not (0 <= y < c.n):
         raise InvalidArgument("y out of range")
-    bct = block_cut_tree(c)
-    if len(bct.blocks) == 1:
+    leaves = leaf_blocks(c)
+    if not leaves:
         return [], True
-    cut_of = {}
-    for i, v in bct.incidence:
-        cut_of.setdefault(i, []).append(v)
-    out = []
-    for i in bct.end_blocks:
-        blk = bct.blocks[i]
-        b = cut_of[i][0]
-        if y in blk and y != b:
-            continue
-        out.append((blk, b))
+    out = [(blk, b) for blk, b in leaves if y not in blk or y == b]
     out.sort(key=lambda item: min(item[0]))
     return out, False

@@ -16,7 +16,7 @@ of an ambiguous family use ``semi_switch`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidArgument, InvalidWitness
 
@@ -238,22 +238,49 @@ def combine_across_cut(fam, bridge, side="suffix"):
     return make_path_family(new, cls=fam.cls)
 
 
-# -- cycle-family combinators (explicit row schedules) --------------------
+# -- row schedules ---------------------------------------------------------
+
+
+def length_rows(p, q):
+    """Pairs (P1, Q1) .. (P1, Q_last), then (P2, Q_last) .. (P_last, Q_last).
+
+    If P and Q both step by 2 and a row is as long as its two parts
+    together, the |p| + |q| - 1 rows step by 2 as well.  With P[:2] the
+    rows are Q's steps plus one more step at the long end.
+    """
+    return [(p[0], b) for b in q] + [(a, q[-1]) for a in p[1:]]
+
+
+def semi_rows(p, ps, q, qs):
+    """Pairs for two semi-length families with switches ps and qs: the
+    length schedule below both switches, then the one above them.
+
+    Five groups left to right (1-based):
+
+        (P1, Qi)      i = 1..qs
+        (Pi, Qqs)     i = 2..ps
+        (Pps+1, Qqs+1)
+        (Pps+1, Qi)   i = qs+2..|q|
+        (Pi, Q_last)  i = ps+2..|p|
+
+    The unit steps of P and Q fall in the gap between the two halves and
+    cancel, so |p| + |q| - 2 rows step by 2.
+    """
+    return length_rows(p[:ps], q[:qs]) + length_rows(p[ps:], q[qs:])
+
+
+# -- cycle-family combinators --------------------------------------------
 
 
 def glue_two_sided_length(p_fam, q_fam):
     """Cycles from two length-condition path families over the same (x, y)
-    on the two sides of a 2-cut: with |p| = l + phi and |q| = l, the rows
-
-        (P1, Qi)  i = 1..l        then  (Pi, Ql)  i = 2..l+phi
-
-    give k = 2l - 1 + phi cycles satisfying the length condition.
+    on the two sides of a 2-cut: with |p| = l + phi and |q| = l, the
+    length_rows schedule gives k = 2l - 1 + phi cycles satisfying the length
+    condition.
     """
     if p_fam.cls.kind != LENGTH or q_fam.cls.kind != LENGTH:
         raise InvalidArgument("both sides must satisfy the length condition")
-    p, q = p_fam.members, q_fam.members
-    rows = [(p[0], q[i]) for i in range(len(q))]
-    rows += [(p[i], q[-1]) for i in range(1, len(p))]
+    rows = length_rows(p_fam.members, q_fam.members)
     fam = make_cycle_family([close_cycle(a, b) for a, b in rows])
     if fam.cls.kind != LENGTH:
         raise InvalidWitness("glued cycles do not satisfy the length condition")
@@ -262,16 +289,8 @@ def glue_two_sided_length(p_fam, q_fam):
 
 def glue_two_sided_semilength(p_fam, q_fam):
     """Cycles from two semi-length families of l + 1 members each (the even-k
-    case), switches p^ and q^.  Row schedule, five groups left to right:
-
-        (P1, Qi)      i = 1..q^
-        (Pi, Qq^)     i = 2..p^
-        (Pp^+1, Qq^+1)
-        (Pp^+1, Qi)   i = q^+2..l+1
-        (Pi, Ql+1)    i = p^+2..l+1
-
-    giving 2l cycles satisfying the length condition (the two unit steps
-    cancel pairwise).
+    case): the semi_rows schedule gives 2l cycles satisfying the length
+    condition.
     """
     ps = p_fam.cls.switch if p_fam.cls.kind == SEMI else semi_switch(p_fam.lengths())
     qs = q_fam.cls.switch if q_fam.cls.kind == SEMI else semi_switch(q_fam.lengths())
@@ -279,15 +298,9 @@ def glue_two_sided_semilength(p_fam, q_fam):
         raise InvalidArgument("both sides must satisfy the semi-length condition")
     if len(p_fam.members) != len(q_fam.members):
         raise InvalidArgument("sides must have equally many members (l + 1)")
-    p, q = p_fam.members, q_fam.members
-    l = len(p) - 1
-    rows = [(p[0], q[i - 1]) for i in range(1, qs + 1)]
-    rows += [(p[i - 1], q[qs - 1]) for i in range(2, ps + 1)]
-    rows += [(p[ps], q[qs])]
-    rows += [(p[ps], q[i - 1]) for i in range(qs + 2, l + 2)]
-    rows += [(p[i - 1], q[l]) for i in range(ps + 2, l + 2)]
+    rows = semi_rows(p_fam.members, ps, q_fam.members, qs)
     fam = make_cycle_family([close_cycle(a, b) for a, b in rows])
-    if len(rows) != 2 * l or fam.cls.kind != LENGTH:
+    if len(rows) != 2 * (len(p_fam.members) - 1) or fam.cls.kind != LENGTH:
         raise InvalidWitness("semi-length glue did not produce 2l length-condition cycles")
     return fam
 

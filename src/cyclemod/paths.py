@@ -40,14 +40,15 @@ from .decompose import (
     feasible_end_blocks,
     is_2_connected,
     is_rooted_2_connected,
+    leaf_blocks,
 )
 from .families import (
     LENGTH,
     SEMI,
-    Family,
     FamilyClass,
     combine_across_cut,
     join_paths,
+    length_rows,
     make_path_family,
     reverse_family,
     validate_path_family,
@@ -73,7 +74,6 @@ class ExtractionTrace:
     fallback was ever needed (a "constructive gap")."""
 
     branches: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     constructive_gap: bool = False
 
     def record(self, tag):
@@ -230,21 +230,6 @@ _BRANCH_ERRORS = (
 )
 
 
-def _cross_concat(p_members, q_fam, tail=()):
-    """Rows (P1, Qi) for all i then (P2, Q_last), each optionally extended
-    by a fixed tail; the result inherits Q's classification.
-
-    With P2 exactly 2 longer than P1 and the Qi stepping by 2 (length
-    condition) or with one unit step (semi), the k rows step the same way,
-    so the class and switch carry over.
-    """
-    rows = [join_paths(p_members[0], q, *([tail] if tail else [])) for q in q_fam.members]
-    rows.append(
-        join_paths(p_members[1], q_fam.members[-1], *([tail] if tail else []))
-    )
-    return make_path_family(rows, cls=q_fam.cls)
-
-
 # -- the recursive engine ----------------------------------------------------
 
 
@@ -287,8 +272,7 @@ def _dispatch(g, x, y, k, flex, trace):
 def _attempt(trace, tag, fn):
     try:
         fam = fn()
-    except _BRANCH_ERRORS as exc:
-        trace.notes.append(f"{tag}: {exc}")
+    except _BRANCH_ERRORS:
         return None
     if fam is not None:
         trace.record(tag)
@@ -308,13 +292,9 @@ def _base_single(g, x, y):
 
 def _split_at_end_block(g, x, y, k, flex, trace):
     """G connected but not 2-connected: peel off the end block holding x."""
-    bct = block_cut_tree(g)
-    cuts = set(bct.cut_vertices)
-    for i in bct.end_blocks:
-        blk = bct.blocks[i]
-        if x not in blk or x in cuts:
+    for blk, b in leaf_blocks(g):
+        if x not in blk or x == b:
             continue
-        b = next(v for j, v in bct.incidence if j == i)
         if len(blk) >= 3:
             trace.record("end-block-of-x")
             fam = _recurse_on(g, blk, x, b, k, flex, trace)
@@ -558,21 +538,7 @@ def _side_block_to_s(g, x, y, k, flex, trace, core, s, d_set):
     t_set = set(core.t)
     s_rest = set(core.s) - {x, s}
     sub_d, to_od = induced(g, d_set)
-    try:
-        blocks, single = feasible_end_blocks(sub_d, min(range(sub_d.n)))
-    except InvalidArgument:
-        return None
-    bct = block_cut_tree(sub_d)
-    cuts = set(bct.cut_vertices)
-    cand = []
-    for i in bct.end_blocks:
-        blk = bct.blocks[i]
-        bs = [v for j, v in bct.incidence if j == i]
-        if bs:
-            cand.append((blk, bs[0]))
-    if len(bct.blocks) == 1:
-        return None
-    for blk, b_sub in cand:
+    for blk, b_sub in leaf_blocks(sub_d):
         blk_orig = {to_od[v] for v in blk}
         b = to_od[b_sub]
         interior = blk_orig - {b}
@@ -650,7 +616,6 @@ def _side_two_t(g, x, y, k, flex, trace, core, s, d_set):
 def _case_single_y(g, x, y, k, flex, trace, core):
     t_set = set(core.t)
     if g.adj[x] != frozenset(t_set) or g.adj[y] != frozenset(t_set):
-        trace.notes.append("single-y: N(x) = N(y) = T failed")
         return None
     if len(t_set) == 2:
         return _attempt(trace, "single-y-two-t", lambda: _single_y_two_t(g, x, y, k, flex, trace, core))
@@ -718,15 +683,8 @@ def _single_y_end_block(g, x, y, k, flex, trace, core, s, t, sub, to_orig):
     block disjoint from H and y."""
     t_set = set(core.t)
     h_and_y = core.h_vertices() | {y}
-    bct = block_cut_tree(sub)
-    if not bct.cut_vertices:
-        return None
-    for i in bct.end_blocks:
-        blk = bct.blocks[i]
-        bs = [v for j, v in bct.incidence if j == i]
-        if not bs:
-            continue
-        b = to_orig[bs[0]]
+    for blk, b_sub in leaf_blocks(sub):
+        b = to_orig[b_sub]
         blk_orig = {to_orig[v] for v in blk}
         if (blk_orig - {b}) & h_and_y:
             continue
@@ -946,16 +904,11 @@ def _case_big_c_deep(g, x, y, k, flex, trace, core, c_sub, to_oc, inv_c, feas):
         return _recurse_on(g, blk | {v}, v, b, kk, False, trace)
 
     # is there an end block of C holding y as a non-cut vertex?
-    bct = block_cut_tree(c_sub)
-    cuts_sub = set(bct.cut_vertices)
     by_blk = by = None
-    for i in bct.end_blocks:
-        blk = bct.blocks[i]
-        if inv_c[y] in blk and inv_c[y] not in cuts_sub:
-            bs = [v for j, v in bct.incidence if j == i]
-            if bs:
-                by_blk = {to_oc[v] for v in blk}
-                by = to_oc[bs[0]]
+    for blk, b_sub in leaf_blocks(c_sub):
+        if inv_c[y] in blk and inv_c[y] != b_sub:
+            by_blk = {to_oc[v] for v in blk}
+            by = to_oc[b_sub]
             break
 
     if by_blk is None:
@@ -1044,14 +997,9 @@ def _two_disjoint_exits(g, x, y, k, trace, core, s, u_set, cprime, feas, fixed_p
                     continue
                 t = min(t_set & g.adj[u])
                 mid = p[1:] + (t, s)
-                rows = [
-                    join_paths(p_fam.members[0], (b_i,) + mid, qm, q)
-                    for qm in q_fam.members
-                ]
-                rows.append(
-                    join_paths(p_fam.members[1], (b_i,) + mid, q_fam.members[-1], q)
-                )
-                return make_path_family(rows, cls=FamilyClass(LENGTH))
+                rows = length_rows(p_fam.members[:2], q_fam.members)
+                members = [join_paths(a, (b_i,) + mid, b, q) for a, b in rows]
+                return make_path_family(members, cls=FamilyClass(LENGTH))
     return None
 
 
@@ -1074,9 +1022,9 @@ def _heavy_vertex_detour(g, x, y, k, trace, core, s, c_set, cprime, feas, fixed_
             q_fam = fixed_paths(blk, b, s, k - 1)
             if q_fam is None:
                 continue
-            rows = [join_paths((x, t1, s), qm, qp) for qm in q_fam.members]
-            rows.append(join_paths((x, t2, v, t1, s), q_fam.members[-1], qp))
-            return make_path_family(rows, cls=FamilyClass(LENGTH))
+            rows = length_rows(((x, t1, s), (x, t2, v, t1, s)), q_fam.members)
+            members = [join_paths(pa, qb, qp) for pa, qb in rows]
+            return make_path_family(members, cls=FamilyClass(LENGTH))
     return None
 
 
@@ -1084,7 +1032,8 @@ def _y_block_family(g, x, y, k, flex, trace, by_blk, by, p_primed):
     q_fam = _recurse_on(g, by_blk, by, y, k - 1, flex, trace)
     if q_fam is None:
         return None
-    return _cross_concat(p_primed.members, q_fam)
+    rows = length_rows(p_primed.members[:2], q_fam.members)
+    return make_path_family([join_paths(a, b) for a, b in rows], cls=q_fam.cls)
 
 
 def _two_block_relay(g, x, y, k, trace, core, s, cprime, feas, fixed_paths, p_fam, a_opts):
@@ -1097,6 +1046,7 @@ def _two_block_relay(g, x, y, k, trace, core, s, cprime, feas, fixed_paths, p_fa
         r = _path_within(g, b1, b2, cprime - {y})
         if r is None:
             continue
+        rows = length_rows(p_fam.members[:2], q_fam.members)
         for a in a_opts:
             if a == s:
                 tail = (s, y)
@@ -1105,18 +1055,10 @@ def _two_block_relay(g, x, y, k, trace, core, s, cprime, feas, fixed_paths, p_fa
             else:
                 continue
             try:
-                rows = [
-                    join_paths(p_fam.members[0], r, tuple(reversed(qm)), tail)
-                    for qm in q_fam.members
-                ]
-                rows.append(
-                    join_paths(
-                        p_fam.members[1], r, tuple(reversed(q_fam.members[-1])), tail
-                    )
-                )
+                members = [join_paths(pa, r, tuple(reversed(qb)), tail) for pa, qb in rows]
             except InvalidWitness:
                 continue
-            return make_path_family(rows, cls=FamilyClass(LENGTH))
+            return make_path_family(members, cls=FamilyClass(LENGTH))
     return None
 
 
@@ -1174,8 +1116,9 @@ def _w_chain(g, x, y, k, flex, trace, c_set, blk1, b1, w_blk, w, by, p_fam):
     bridge = _path_within(g, b1, w, c_set - (blk1 - {b1}) - (w_blk - {w}) - {y})
     if bridge is None:
         return None
-    p_members = [join_paths(m, bridge) for m in p_fam.members[:2]]
-    return _cross_concat(p_members, r_fam, tail=(by, y))
+    rows = length_rows(p_fam.members[:2], r_fam.members)
+    members = [join_paths(a, bridge, b, (by, y)) for a, b in rows]
+    return make_path_family(members, cls=r_fam.cls)
 
 
 def _k3_closers(g, x, y, k, flex, core, s, by, p_primed, a_opts):

@@ -373,6 +373,12 @@ def mutations(cert):
     c = json.loads(json.dumps(cert))
     c["family"] = c["family"][:-1]
     yield "member-count", c
+    c = json.loads(json.dumps(cert))
+    c["family"] = len(c["family"])
+    yield "family-shape", c
+    c = json.loads(json.dumps(cert))
+    c["graph"]["edges"] = n
+    yield "edges-shape", c
 
 
 def test_single_field_mutations_detected():

@@ -81,6 +81,12 @@ def test_residue_mutation_detected():
     cert["residues"][a], cert["residues"][b] = cert["residues"][b], cert["residues"][a]
     ok, reason = certify.verify(cert)
     assert not ok and "residue" in reason
+    # a witness of the wrong shape is a failed check, not a crash
+    for witness in (4, None, ["0", "1", "2"], [0, 1, 2.0]):
+        cert = sample_cert()
+        cert["residues"][a] = witness
+        ok, reason = certify.verify(cert)
+        assert not ok and "residue" in reason, witness
 
 
 @given(st.integers(0, 2**32 - 1))

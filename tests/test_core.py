@@ -25,7 +25,7 @@ def test_find_core_in_complete_graph():
     g = complete_graph(6)
     core = find_core(g, 0, 1)
     assert core is not None
-    assert verify_core(g, core)
+    assert verify_core(g, core) == (True, None)
     assert core.x == 0 and core.y == 1
     assert 0 in core.s
     assert core.l == len(core.s) - 1 >= 1

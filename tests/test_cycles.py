@@ -11,6 +11,8 @@ from cyclemod.graph import (
 )
 from cyclemod.cycles import (
     OddCycleWitness,
+    _cross_block_paths,
+    _long_witness,
     all_residues_mod_k,
     branch_of,
     check_witness,
@@ -23,7 +25,7 @@ from cyclemod.cycles import (
     oracle_cycles,
     split_parity,
 )
-from cyclemod.families import CONSECUTIVE, LENGTH
+from cyclemod.families import CONSECUTIVE, LENGTH, validate_cycle_family, validate_path_family
 from cyclemod.paths import ExtractionTrace
 
 
@@ -153,6 +155,38 @@ def test_branch_ii_long_witness_constructive():
     trace = ExtractionTrace()
     fam = cycles_with_odd_cycle(circulant_13_1_5(), 3, trace=trace)
     assert fam.k == 3 and not trace.constructive_gap
+
+
+def two_cliques_on_a_trunk(m1, m2):
+    """K_m1 on 0..m1-1 and K_m2 on m1+1..m1+m2, joined by the path 0, m1, m1+1."""
+    b2 = m1 + 1
+    edges = [(u, v) for u in range(m1) for v in range(u + 1, m1)]
+    edges += [(u, v) for u in range(b2, b2 + m2) for v in range(u + 1, b2 + m2)]
+    edges += [(0, m1), (m1, b2)]
+    return Graph(b2 + m2, edges), set(range(m1)), set(range(b2, b2 + m2)), b2
+
+
+# K6 holds a semi-length family of three rooted paths but no length one, K7
+# holds a length one: with phi = 1 the three pairs take the length schedule,
+# the one with the shorter first side, and the semi-length schedule
+@pytest.mark.parametrize("phi, m1, m2", [(0, 5, 5), (1, 7, 7), (1, 6, 7), (1, 6, 6)])
+def test_cross_block_paths_schedules(phi, m1, m2):
+    l = 3
+    g, blk1, blk2, b2 = two_cliques_on_a_trunk(m1, m2)
+    fam = _cross_block_paths(g, l, phi, blk1, 0, 1, blk2, b2, b2 + 1, range(g.n),
+                             ExtractionTrace())
+    validate_path_family(g, fam, 1, b2 + 1, allowed=(LENGTH,))
+    assert fam.k == 2 * l - 3 + phi
+
+
+def test_long_witness_fans_from_u():
+    # C5 on 0..4; G - V(C) is the triangle 5, 6, 7, seen from u = 0 and the
+    # antipode 3
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (3, 6), (5, 6), (5, 7), (6, 7)])
+    trace = ExtractionTrace()
+    fam = _long_witness(g, 2, (0, 1, 2, 3, 4), trace)
+    validate_cycle_family(g, fam)
+    assert fam.k == 2 and trace.branches[-1] == "antipode-fan"
 
 
 def test_branch_iii_examples():

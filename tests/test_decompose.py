@@ -12,6 +12,7 @@ from cyclemod.decompose import (
     find_2_separation,
     is_2_connected,
     is_rooted_2_connected,
+    leaf_blocks,
     two_separations,
     vertex_connectivity_at_least,
 )
@@ -121,6 +122,40 @@ def test_feasible_end_blocks():
     blocks, single = feasible_end_blocks(c, 0)
     assert not single
     assert any(set(blk) == {2, 3, 4} for blk, b in blocks)
+
+
+def old_end_block_scan(g):
+    # the (end block, cut vertex) scan the construction sites used to write
+    # out over BlockCutTree.incidence
+    bct = block_cut_tree(g)
+    out = []
+    for i in bct.end_blocks:
+        bs = [v for j, v in bct.incidence if j == i]
+        if bs:
+            out.append((bct.blocks[i], bs[0]))
+    return out
+
+
+def old_feasible_end_blocks(g, y):
+    bct = block_cut_tree(g)
+    if len(bct.blocks) == 1:
+        return [], True
+    out = [(blk, b) for blk, b in old_end_block_scan(g) if not (y in blk and y != b)]
+    out.sort(key=lambda item: min(item[0]))
+    return out, False
+
+
+def test_leaf_blocks_match_the_incidence_scan():
+    for n in range(1, 8):
+        for g in atlas_connected(n):
+            leaves = leaf_blocks(g)
+            assert leaves == old_end_block_scan(g)
+            bct = block_cut_tree(g)
+            assert (leaves == []) == (len(bct.blocks) == 1)
+            for blk, b in leaves:
+                assert b in blk and b in bct.cut_vertices
+            for y in range(n):
+                assert feasible_end_blocks(g, y) == old_feasible_end_blocks(g, y)
 
 
 @given(connected_graphs)

@@ -1,5 +1,7 @@
 """Length-pattern classification and the row-schedule combinators."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,10 +18,12 @@ from cyclemod.families import (
     glue_two_sided_length,
     glue_two_sided_semilength,
     join_paths,
+    length_rows,
     make_path_family,
     odd_cycle_fan,
     odd_cycle_x_fan,
     residues_mod_k,
+    semi_rows,
     semi_switch,
 )
 
@@ -133,6 +137,63 @@ def test_two_sided_semilength_glue_counts(l):
             fam = glue_two_sided_semilength(p, q)
             assert fam.is_cycles and fam.cls.kind == LENGTH
             assert fam.k == 2 * l
+
+
+# Reference copies of the row lists the construction sites used to write
+# out by hand, kept to pin the shared schedules to them.
+
+
+def old_two_sided_length_rows(p, q):
+    rows = [(p[0], q[i]) for i in range(len(q))]
+    rows += [(p[i], q[-1]) for i in range(1, len(p))]
+    return rows
+
+
+def old_cross_concat_rows(p, q):
+    return [(p[0], b) for b in q] + [(p[1], q[-1])]
+
+
+def old_two_sided_semi_rows(p, ps, q, qs):
+    l = len(p) - 1
+    rows = [(p[0], q[i - 1]) for i in range(1, qs + 1)]
+    rows += [(p[i - 1], q[qs - 1]) for i in range(2, ps + 1)]
+    rows += [(p[ps], q[qs])]
+    rows += [(p[ps], q[i - 1]) for i in range(qs + 2, l + 2)]
+    rows += [(p[i - 1], q[l]) for i in range(ps + 2, l + 2)]
+    return rows
+
+
+def old_double_semi_rows(p, q, w, r):
+    l = len(p)
+    rows = [(p[0], w[i - 1]) for i in range(1, r + 1)]
+    rows += [(p[i - 1], w[r - 1]) for i in range(2, q + 1)]
+    rows += [(p[q], w[r])]
+    rows += [(p[q], w[i - 1]) for i in range(r + 2, l + 1)]
+    rows += [(p[i - 1], w[l - 1]) for i in range(q + 2, l + 1)]
+    return rows
+
+
+SIDES = range(1, 7)
+
+
+def test_length_rows_match_the_old_schedules():
+    for np_, nq in itertools.product(SIDES, SIDES):
+        p = [f"P{i}" for i in range(1, np_ + 1)]
+        q = [f"Q{i}" for i in range(1, nq + 1)]
+        assert length_rows(p, q) == old_two_sided_length_rows(p, q)
+        if np_ >= 2:
+            assert length_rows(p[:2], q) == old_cross_concat_rows(p, q)
+
+
+def test_semi_rows_match_the_old_schedules():
+    for n in SIDES:
+        p = [f"P{i}" for i in range(1, n + 1)]
+        q = [f"Q{i}" for i in range(1, n + 1)]
+        for ps, qs in itertools.product(range(1, n), range(1, n)):
+            rows = semi_rows(p, ps, q, qs)
+            assert rows == old_two_sided_semi_rows(p, ps, q, qs)
+            assert rows == old_double_semi_rows(p, ps, q, qs)
+            assert len(rows) == 2 * n - 2
 
 
 def fab_fan_paths(lengths, c, end, start=100):

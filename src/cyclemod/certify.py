@@ -71,6 +71,11 @@ def _fail(reason):
     return False, reason
 
 
+def _is_int(v):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def verify(cert):
     """(True, None) if the certificate checks out, else (False, reason)
     naming the first violated check."""
@@ -85,7 +90,7 @@ def verify(cert):
         return _fail("malformed graph")
     n = gspec["n"]
     edges = gspec["edges"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         return _fail("bad vertex count")
     if not isinstance(edges, list):
         return _fail("malformed edge list")
@@ -94,7 +99,7 @@ def verify(cert):
         if (not isinstance(e, list)) or len(e) != 2:
             return _fail(f"malformed edge {e!r}")
         u, v = e
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n):
+        if not (_is_int(u) and _is_int(v) and 0 <= u < v < n):
             return _fail(f"bad edge {e!r}")
         if (u, v) in seen:
             return _fail(f"duplicate edge {e!r}")
@@ -103,7 +108,7 @@ def verify(cert):
 
     k = cert["k"]
     family = cert["family"]
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         return _fail("bad k")
     if not isinstance(family, list):
         return _fail("malformed family")
@@ -111,9 +116,12 @@ def verify(cert):
         return _fail(f"family size {len(family)} != k = {k}")
 
     is_cycles = cert["command"] == "cycles"
+    for end in ("x", "y"):
+        if cert.get(end) is not None and not _is_int(cert[end]):
+            return _fail(f"bad {end}")
     members = []
     for m in family:
-        if not isinstance(m, list) or not all(isinstance(v, int) for v in m):
+        if not isinstance(m, list) or not all(_is_int(v) for v in m):
             return _fail(f"malformed member {m!r}")
         members.append(tuple(m))
     for m in members:
@@ -132,6 +140,8 @@ def verify(cert):
     if not isinstance(cls, dict) or "kind" not in cls:
         return _fail("malformed class")
     kind, switch = cls["kind"], cls.get("switch")
+    if switch is not None and not _is_int(switch):
+        return _fail("bad switch")
     if kind not in (LENGTH, SEMI, CONSECUTIVE):
         return _fail(f"unknown class kind {kind!r}")
     if is_cycles and kind == SEMI:
@@ -151,7 +161,7 @@ def verify(cert):
         if sorted(residues.keys()) != sorted(str(r) for r in range(k)):
             return _fail(f"residue keys are not exactly 0..{k - 1}")
         for key, m in residues.items():
-            if not isinstance(m, list) or not all(isinstance(v, int) for v in m):
+            if not isinstance(m, list) or not all(_is_int(v) for v in m):
                 return _fail(f"malformed residue witness {m!r}")
             m = tuple(m)
             if not cycle_ok(g, m):

@@ -46,6 +46,31 @@ def _load_graph(path):
         sys.exit(EXIT_PARSE)
 
 
+def _emit(g, command, k, trace, extract):
+    """Run extract() -> (family, certificate fields), with None for "the
+    oracle found no family"; map its errors to exit codes, print the
+    certificate, and exit 3 on a constructive gap."""
+    try:
+        fam, fields = extract()
+    except HypothesisNotMet as exc:
+        click.echo(f"hypothesis not met: {exc}", err=True)
+        sys.exit(EXIT_HYPOTHESIS)
+    except BudgetExceeded as exc:
+        click.echo(f"budget exceeded: {exc}", err=True)
+        sys.exit(EXIT_BUDGET)
+    except CyclemodError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+    if fam is None:
+        click.echo("oracle: no such family exists", err=True)
+        sys.exit(EXIT_NONE)
+    cert = certify.make_certificate(g, command, k, fam, trace=trace, **fields)
+    click.echo(certify.to_json(cert), nl=False)
+    if trace.constructive_gap:
+        click.echo("constructive gap: oracle fallback was needed", err=True)
+        sys.exit(EXIT_NONE)
+
+
 @click.group()
 def main():
     """Constructive extraction of path/cycle families with controlled
@@ -67,30 +92,17 @@ def paths_cmd(graph_file, x, y, k, mode, oracle):
         click.echo("bad x/y/k arguments", err=True)
         sys.exit(EXIT_PARSE)
     trace = ExtractionTrace()
-    try:
+
+    def extract():
         if oracle:
             fam = oracle_paths(g, x, y, k, flex=(mode == "flex"))
-            if fam is None:
-                click.echo("oracle: no such family exists", err=True)
-                sys.exit(EXIT_NONE)
         elif mode == "length":
             fam = find_paths_length(g, x, y, k, trace=trace)
         else:
             fam = find_paths_flex(g, x, y, k, trace=trace)
-    except HypothesisNotMet as exc:
-        click.echo(f"hypothesis not met: {exc}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except CyclemodError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    cert = certify.make_certificate(g, "paths", k, fam, x=x, y=y, trace=trace)
-    click.echo(certify.to_json(cert), nl=False)
-    if trace.constructive_gap:
-        click.echo("constructive gap: oracle fallback was needed", err=True)
-        sys.exit(EXIT_NONE)
+        return fam, {"x": x, "y": y}
+
+    _emit(g, "paths", k, trace, extract)
 
 
 @main.command("cycles")
@@ -110,31 +122,19 @@ def cycles_cmd(graph_file, k, with_mod, oracle):
         click.echo("residue coverage needs odd k", err=True)
         sys.exit(EXIT_HYPOTHESIS)
     trace = ExtractionTrace()
-    try:
+
+    def extract():
         if oracle:
             fam = oracle_cycles(g, k)
             if fam is None:
-                click.echo("oracle: no such family exists", err=True)
-                sys.exit(EXIT_NONE)
+                return None, {}
             branch = branch_of(g)
         else:
             fam, branch = find_k_cycles(g, k, trace=trace)
-    except HypothesisNotMet as exc:
-        click.echo(f"hypothesis not met: {exc}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
-    except BudgetExceeded as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except CyclemodError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    residues = residue_map(fam, k) if with_mod else None
-    cert = certify.make_certificate(g, "cycles", k, fam, branch=branch,
-                                    residues=residues, trace=trace)
-    click.echo(certify.to_json(cert), nl=False)
-    if trace.constructive_gap:
-        click.echo("constructive gap: oracle fallback was needed", err=True)
-        sys.exit(EXIT_NONE)
+        residues = residue_map(fam, k) if with_mod else None
+        return fam, {"branch": branch, "residues": residues}
+
+    _emit(g, "cycles", k, trace, extract)
 
 
 @main.command("verify")

@@ -63,7 +63,7 @@ def _y_component(g, h_verts, y):
     for comp in components(g, ignore=h_verts):
         if y in comp:
             return tuple(comp)
-    raise AssertionError("y vanished from its own graph")
+    raise InvariantViolated("y vanished from its own graph")
 
 
 def find_core(g, x, y):

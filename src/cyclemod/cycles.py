@@ -38,6 +38,7 @@ from .families import (
     CONSECUTIVE,
     LENGTH,
     FamilyClass,
+    _arc,
     close_cycle,
     glue_two_sided_length,
     glue_two_sided_semilength,
@@ -59,7 +60,6 @@ from .paths import (
     _fits,
     _path_within,
     _recurse_on,
-    find_paths_flex,
 )
 
 BRANCH_TWO_CUT = "two-cut"
@@ -68,23 +68,17 @@ BRANCH_BIPARTITE = "bipartite-oracle"
 
 
 def split_parity(k):
-    """(l, phi) with k = 2l - 1 + phi, phi = 0 for odd k and 1 for even k."""
-    if k < 1:
-        raise InvalidArgument("k must be positive")
+    """(l, phi) with k = 2l - 1 + phi, phi = 0 for odd k and 1 for even k;
+    k >= 1, which find_k_cycles has checked."""
     phi = 0 if k % 2 == 1 else 1
     return (k + 1 - phi) // 2, phi
 
 
-def cycle_spectrum(g, budget=None):
-    """Exact set of cycle lengths of g."""
-    return cycle_length_set(g, budget=budget)
-
-
-def oracle_cycles(g, k, budget=None):
+def oracle_cycles(g, k):
     """k cycles of consecutive lengths (preferred) or satisfying the length
     condition, assembled from the exact cycle spectrum; None if neither
     pattern is realizable."""
-    lengths = cycle_spectrum(g, budget=budget)
+    lengths = cycle_length_set(g)
     top = max(lengths, default=0)
     pick = None
     for a in range(3, top + 1):
@@ -150,13 +144,6 @@ def _cyclic_order(g, verts):
     return tuple(order) if len(order) == len(verts) else None
 
 
-def _nonseparating(g, verts):
-    rest = set(range(g.n)) - set(verts)
-    if not rest:
-        return True
-    return is_connected(g, ignore=verts)
-
-
 def check_witness(g, w):
     """(True, None) or (False, reason) for an OddCycleWitness."""
     c = w.cycle
@@ -172,7 +159,7 @@ def check_witness(g, w):
     for v in cset:
         if len(g.adj[v] & cset) != 2:
             return False, f"not induced at {v}"
-    if not _nonseparating(g, c):
+    if not is_connected(g, ignore=cset):
         return False, "separating"
     if w.kind == WITNESS_TRIANGLE:
         if len(c) != 3:
@@ -182,7 +169,7 @@ def check_witness(g, w):
         return False, f"unknown witness kind {w.kind!r}"
     rest = set(range(g.n)) - cset
     if rest:
-        # G - V(C) is connected: _nonseparating passed above
+        # G - V(C) is connected: the separating test passed above
         sub, to_orig = induced(g, rest)
         cuts = {to_orig[v] for v in block_cut_tree(sub).cut_vertices}
         n_c = len(c)
@@ -221,16 +208,9 @@ def find_nonsep_induced_odd_cycle(g):
 # -- branch I: 2-connected but not 3-connected -------------------------------
 
 
-def cycles_2conn_not_3conn(g, k, trace=None):
-    """k cycles satisfying the length condition, glued across a 2-cut."""
-    if trace is None:
-        trace = ExtractionTrace()
-    if not is_2_connected(g):
-        raise HypothesisNotMet("need a 2-connected graph")
-    if g.n >= 4 and vertex_connectivity_at_least(g, 3):
-        raise HypothesisNotMet("graph is 3-connected; no 2-cut to split at")
-    if g.min_degree() < k + 1:
-        raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
+def _branch_i(g, k, trace):
+    """k >= 2 cycles satisfying the length condition, glued across a 2-cut
+    of a graph that find_k_cycles has checked and sent here."""
     l, phi = split_parity(k)
     last_error = None
     for sep in two_separations(g):
@@ -240,7 +220,7 @@ def cycles_2conn_not_3conn(g, k, trace=None):
             last_error = exc
             continue
         trace.record("two-cut-glue")
-        return validate_cycle_family(g, fam, allowed=(LENGTH,))
+        return fam
     raise HypothesisNotMet(f"no 2-separation admits the glue ({last_error})")
 
 
@@ -272,59 +252,50 @@ def _glue_sides(g, k, l, phi, a_verts, b_verts, x, y, trace):
 # -- branch II: 3-connected with an odd-cycle witness -------------------------
 
 
-def cycles_with_odd_cycle(g, k, w=None, trace=None):
-    """k cycles of consecutive lengths or satisfying the length condition
-    in a graph with delta >= k + 1 holding a usable odd-cycle witness."""
-    if trace is None:
-        trace = ExtractionTrace()
-    if g.min_degree() < k + 1:
-        raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
-    if k == 1:
-        return _any_cycle(g, trace)
+def _branch_ii(g, k, trace):
+    """k >= 2 cycles of consecutive lengths or satisfying the length
+    condition in a 3-connected non-bipartite graph that find_k_cycles has
+    checked and sent here: from an edge for k = 2, else fanned around a
+    non-separating induced odd cycle."""
     if k == 2:
         fam = _two_cycles_from_edge(g, trace)
-        if fam is not None:
-            return fam
-        return _odd_fallback(g, k, trace)
-    if w is None:
+    else:
         w = find_nonsep_induced_odd_cycle(g)
-    if w is None:
-        return _odd_fallback(g, k, trace)
-    ok, reason = check_witness(g, w)
-    if not ok:
-        raise InvalidWitness(f"bad odd-cycle witness: {reason}")
-    c = w.cycle
-    if len(c) == 3:
-        fam = _triangle_fans(g, k, c, trace)
-        if fam is not None:
-            return fam
-        return _odd_fallback(g, k, trace)
-    fam = _long_witness(g, k, c, trace)
+        if w is None:
+            fam = None
+        elif len(w.cycle) == 3:
+            fam = _triangle_fans(g, k, w.cycle, trace)
+        else:
+            fam = _long_witness(g, k, w.cycle, trace)
     if fam is not None:
         return fam
-    return _odd_fallback(g, k, trace)
+    fam = _from_oracle(g, k, trace, "oracle-fallback")
+    trace.constructive_gap = True
+    return fam
 
 
-def _odd_fallback(g, k, trace):
+def _from_oracle(g, k, trace, tag):
+    """oracle_cycles(g, k), recorded under `tag`."""
     fam = oracle_cycles(g, k)
     if fam is None:
         raise HypothesisNotMet(f"no family of {k} cycles exists at all")
-    trace.constructive_gap = True
-    trace.record("oracle-fallback")
+    trace.record(tag)
     return fam
 
 
 def _any_cycle(g, trace):
-    spectrum = cycle_spectrum(g)
+    spectrum = cycle_length_set(g)
     c = find_cycle_with_length(g, min(spectrum))
     trace.record("single-cycle")
     return make_cycle_family([c], cls=FamilyClass(CONSECUTIVE))
 
 
 def _two_cycles_from_edge(g, trace):
+    # g is 2-connected with delta >= 3, so each edge xy meets the hypothesis
+    # of a flexible 2-path request: G + xy = G, and every degree is >= 2*2 - 1
     for x, y in g.edges():
         try:
-            fam = find_paths_flex(g, x, y, 2, trace=trace)
+            fam = _engine(g, x, y, 2, True, trace)
         except _BRANCH_ERRORS:
             continue
         cycles = [close_cycle(m, (x, y)) for m in fam.members]
@@ -379,14 +350,10 @@ def _long_witness(g, k, c, trace):
     """|C| >= 5 and the two-neighbor property: fan through the blocks of
     G - V(C), or close length-condition cycles around C from two blocks."""
     l, phi = split_parity(k)
-    cset = set(c)
-    rest = sorted(set(range(g.n)) - cset)
-    if not rest:
-        return None
+    # G - V(C) is connected (the witness is non-separating) and non-empty
+    # (each vertex of the induced C has delta - 2 >= 1 neighbors off C)
+    rest = sorted(set(range(g.n)) - set(c))
     sub, to_orig = induced(g, rest)
-    if not is_connected(sub):
-        return None
-
     # candidate (block, cut-vertex) pairs; the whole of G - V(C) when it is
     # a single block (any anchor vertex works as the degenerate cut)
     end_blocks = [({to_orig[v] for v in blk}, to_orig[b]) for blk, b in leaf_blocks(sub)]
@@ -570,26 +537,15 @@ def _reverse_side(g, blk, b, x, kk, flex, trace):
     return make_path_family(members, cls=fam.cls)
 
 
-def _arc_desc(rot, i, j):
-    """Arc walking positions downward (mod n) from i to j, inclusive."""
-    n = len(rot)
-    out = [rot[i]]
-    pos = i
-    while pos != j:
-        pos = (pos - 1) % n
-        out.append(rot[pos])
-    return tuple(out)
-
-
 def _close_around(g, k, rot, a, paths, trace):
     """Close (x1, x2)-paths around the cycle: all paths via the short
     u2- -> u1+ arc, the longest also via the two longer arcs through u1."""
     n_c = len(rot)
     if len(paths.members) != k - 2:
         return None
-    short = _arc_desc(rot, a - 1, 1)          # u2- down to u1+: a - 2 edges
-    mid = _arc_desc(rot, a - 1, n_c - 1)      # u2- through u1 to u1-: a edges
-    long_ = _arc_desc(rot, a + 1, n_c - 1)    # u2+ through u2, u1 to u1-: a + 2 edges
+    short = _arc(rot, a - 1, 1, False)        # u2- down to u1+: a - 2 edges
+    mid = _arc(rot, a - 1, n_c - 1, False)    # u2- through u1 to u1-: a edges
+    long_ = _arc(rot, a + 1, n_c - 1, False)  # u2+ through u2, u1 to u1-: a + 2 edges
     # close each path x1..x2 with an arc of C; lengths p_i + a, then the
     # longest path again with the two longer arcs: + a + 2 and + a + 4
     rows = [tuple(p) + short for p in paths.members]
@@ -605,23 +561,7 @@ def _close_around(g, k, rot, a, paths, trace):
     return fam
 
 
-# -- branch III and the dispatcher --------------------------------------------
-
-
-def cycles_bipartite_oracle(g, k, trace=None):
-    """Bipartite case: assembled from the exact cycle spectrum (by design,
-    not counted as a constructive gap)."""
-    if trace is None:
-        trace = ExtractionTrace()
-    if is_bipartite(g) is None:
-        raise HypothesisNotMet("need a bipartite graph")
-    if g.min_degree() < k + 1:
-        raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
-    fam = oracle_cycles(g, k)
-    if fam is None:
-        raise HypothesisNotMet(f"no family of {k} cycles exists at all")
-    trace.record(BRANCH_BIPARTITE)
-    return validate_cycle_family(g, fam, allowed=(LENGTH, CONSECUTIVE))
+# -- the dispatcher -----------------------------------------------------------
 
 
 def branch_of(g):
@@ -636,7 +576,9 @@ def branch_of(g):
 
 def find_k_cycles(g, k, trace=None):
     """(family, branch): k cycles of consecutive lengths or satisfying the
-    length condition; needs G 2-connected with minimum degree >= k + 1."""
+    length condition; needs G 2-connected with minimum degree >= k + 1.
+
+    The only place that checks the request: the branch steps trust it."""
     if trace is None:
         trace = ExtractionTrace()
     if k < 1:
@@ -650,11 +592,12 @@ def find_k_cycles(g, k, trace=None):
     if k == 1:
         fam = _any_cycle(g, trace)
     elif branch == "I":
-        fam = cycles_2conn_not_3conn(g, k, trace=trace)
+        fam = _branch_i(g, k, trace)
     elif branch == "II":
-        fam = cycles_with_odd_cycle(g, k, trace=trace)
+        fam = _branch_ii(g, k, trace)
     else:
-        fam = cycles_bipartite_oracle(g, k, trace=trace)
+        # by design, not counted as a constructive gap
+        fam = _from_oracle(g, k, trace, BRANCH_BIPARTITE)
     if fam.k != k:
         raise InvalidWitness(f"expected {k} cycles, produced {fam.k}")
     return validate_cycle_family(g, fam), branch

@@ -148,14 +148,17 @@ def two_separations(g):
 
 
 def vertex_connectivity_at_least(g, t):
-    """Decide kappa(G) >= t for t in {2, 3}."""
+    """Decide kappa(G) >= t for t in {2, 3}.
+
+    For t = 3 the pair scan alone decides: on n >= 4 vertices a graph with
+    a cut vertex, or a disconnected one, also has a separating pair."""
     if t not in (2, 3):
         raise InvalidArgument("t must be 2 or 3")
     if g.n < t + 1:
         raise InvalidArgument(f"graph too small to ask about {t}-connectivity")
-    if not is_2_connected(g):
-        return False
-    return t == 2 or next(two_separations(g), None) is None
+    if t == 2:
+        return is_2_connected(g)
+    return next(two_separations(g), None) is None
 
 
 def find_2_separation(g):

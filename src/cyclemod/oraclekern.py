@@ -36,7 +36,7 @@ def _adj_masks(g):
     return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
 
 
-def _path_lengths_py(adj, n, x, y, budget):
+def _path_lengths_py(adj, x, y, budget):
     """(bitmask of realizable simple x-y path lengths, nodes, truncated)."""
     lengths = 0
     nodes = 0
@@ -63,7 +63,7 @@ def _path_lengths_py(adj, n, x, y, budget):
             continue
         visited |= b
         stack_v.append(v)
-        stack_rem.append(adj[v] & ~visited & ~(0))
+        stack_rem.append(adj[v] & ~visited)
     return lengths, nodes, False
 
 
@@ -99,7 +99,6 @@ def _cycle_lengths_py(adj, n, budget):
             visited |= b
             stack_v.append(v)
             stack_rem.append(adj[v] & above & ~visited)
-        # (visited reset per root via the loop above)
     return lengths, nodes, False
 
 
@@ -118,7 +117,7 @@ def path_length_set(g, x, y, budget=None):
     """Exact set of lengths of simple (x, y)-paths in g."""
     if budget is None:
         budget = default_budget()
-    mask, _nodes, truncated = _path_lengths_py(_adj_masks(g), g.n, x, y, budget)
+    mask, _nodes, truncated = _path_lengths_py(_adj_masks(g), x, y, budget)
     if truncated:
         raise BudgetExceeded(f"path enumeration exceeded {budget} nodes")
     return _mask_to_set(mask)
@@ -152,7 +151,7 @@ def find_path_with_length(g, x, y, length, avoid=()):
             return u == y
         if u == y:
             return False
-        # simple depth pruning: must still be able to reach the length
+        # plain DFS, no pruning: a missing length explores every simple path
         for v in sorted(g.adj[u]):
             if v in onpath or v in avoid:
                 continue

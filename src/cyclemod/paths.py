@@ -107,14 +107,14 @@ def find_pattern(lengths, k, flex):
     return None
 
 
-def oracle_paths(g, x, y, k, flex=False, budget=None):
+def oracle_paths(g, x, y, k, flex=False):
     """Exhaustively decide and materialize a k-path family, or None.
 
     Independent of the constructive engine: enumerates the exact set of
     (x, y)-path lengths, finds the first admissible pattern, and realizes
     one witness per length.
     """
-    lengths = path_length_set(g, x, y, budget=budget)
+    lengths = path_length_set(g, x, y)
     hit = find_pattern(lengths, k, flex)
     if hit is None:
         return None
@@ -293,7 +293,7 @@ def _base_single(g, x, y):
 def _split_at_end_block(g, x, y, k, flex, trace):
     """G connected but not 2-connected: peel off the end block holding x."""
     for blk, b in leaf_blocks(g):
-        if x not in blk or x == b:
+        if x not in blk:
             continue
         if len(blk) >= 3:
             trace.record("end-block-of-x")

@@ -34,7 +34,6 @@ from cyclemod.cycles import (
     all_residues_mod_k,
     branch_of,
     check_witness,
-    cycle_spectrum,
     find_k_cycles,
     find_nonsep_induced_odd_cycle,
 )
@@ -56,6 +55,7 @@ from cyclemod.families import (
 )
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_bipartite, complete_graph, is_bipartite
+from cyclemod.oraclekern import cycle_length_set
 from cyclemod.paths import (
     ExtractionTrace,
     find_paths_flex,
@@ -94,7 +94,7 @@ def test_every_small_2connected_graph_yields_k_cycles():
     checked = 0
     digest = hashlib.sha256()
     for g in all_two_connected_up_to_7():
-        spectrum = cycle_spectrum(g)
+        spectrum = cycle_length_set(g)
         for k in range(1, g.min_degree()):
             trace = ExtractionTrace()
             fam, branch = find_k_cycles(g, k, trace=trace)
@@ -379,6 +379,20 @@ def mutations(cert):
     c = json.loads(json.dumps(cert))
     c["graph"]["edges"] = n
     yield "edges-shape", c
+    # JSON booleans that equal the integers they replace
+    c = json.loads(json.dumps(cert))
+    c["k"], c["family"] = True, c["family"][:1]
+    yield "k-bool", c
+    c = json.loads(json.dumps(cert))
+    _u, v = c["graph"]["edges"][0]  # (0, v): vertex 0 has a neighbor
+    c["graph"]["edges"][0] = [False, True if v == 1 else v]
+    yield "edge-bool", c
+    c = json.loads(json.dumps(cert))
+    for m in c["family"]:
+        if 0 in m:
+            m[m.index(0)] = False
+            yield "member-bool", c
+            break
 
 
 def test_single_field_mutations_detected():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from cyclemod import certify
 from cyclemod.graph import complete_graph
 from cyclemod.cycles import find_k_cycles, residue_map
-from cyclemod.paths import ExtractionTrace, find_paths_length
+from cyclemod.paths import ExtractionTrace, find_paths_flex, find_paths_length
 
 
 def sample_cert():
@@ -87,6 +87,58 @@ def test_residue_mutation_detected():
         cert["residues"][a] = witness
         ok, reason = certify.verify(cert)
         assert not ok and "residue" in reason, witness
+
+
+def _first_0_or_1_to_bool(vertices):
+    """Write the first 0 or 1 of a vertex list as JSON false/true."""
+    i = next(i for i, v in enumerate(vertices) if v in (0, 1))
+    vertices[i] = bool(vertices[i])
+
+
+def _bools_to_ints(x):
+    if isinstance(x, bool):
+        return int(x)
+    if isinstance(x, list):
+        return [_bools_to_ints(v) for v in x]
+    if isinstance(x, dict):
+        return {key: _bools_to_ints(v) for key, v in x.items()}
+    return x
+
+
+def test_json_booleans_are_not_integers():
+    # false == 0 and true == 1 in Python, so each edit keeps every value;
+    # each must still fail, because JSON booleans are not vertex ids or counts
+    g = complete_graph(4)
+    fam, branch = find_k_cycles(g, 2)
+    cycles = certify.make_certificate(g, "cycles", 2, fam, branch=branch)
+    paths = certify.make_certificate(complete_graph(5), "paths", 2,
+                                     find_paths_length(complete_graph(5), 0, 1, 2), x=0, y=1)
+    semi = certify.make_certificate(g, "paths", 2, find_paths_flex(g, 0, 1, 2), x=0, y=1)
+    assert semi["class"] == {"kind": "semi", "switch": 1}
+    cases = []
+    cert = copy.deepcopy(cycles)
+    cert["k"], cert["family"] = True, cert["family"][:1]
+    cases.append(("k", cert))
+    cert = copy.deepcopy(cycles)
+    assert cert["graph"]["edges"][0] == [0, 1]
+    cert["graph"]["edges"][0] = [False, True]
+    cases.append(("edge", cert))
+    cert = copy.deepcopy(cycles)
+    _first_0_or_1_to_bool(cert["family"][0])
+    cases.append(("member", cert))
+    cert = copy.deepcopy(paths)
+    cert["x"], cert["y"] = False, True
+    cases.append(("x/y", cert))
+    cert = copy.deepcopy(semi)
+    cert["class"]["switch"] = True
+    cases.append(("switch", cert))
+    cert = sample_cert()
+    _first_0_or_1_to_bool(cert["residues"]["0"])
+    cases.append(("residue", cert))
+    for tag, cert in cases:
+        assert certify.verify(_bools_to_ints(cert)) == (True, None), tag
+        ok, _reason = certify.verify(cert)
+        assert not ok, tag
 
 
 @given(st.integers(0, 2**32 - 1))

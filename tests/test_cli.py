@@ -67,6 +67,14 @@ def test_verify_malformed_family_fails_with_exit_4():
     assert bad.exit_code == 4 and bad.output.startswith("FAIL")
 
 
+def test_verify_boolean_k_fails_with_exit_4():
+    res = run("cycles", "--graph", "g", "--k", "2", files={"g": K4})
+    cert = json.loads(res.output)
+    cert["k"], cert["family"] = True, cert["family"][:1]
+    bad = run("verify", "--cert", "c", files={"c": json.dumps(cert)})
+    assert bad.exit_code == 4 and bad.output.startswith("FAIL")
+
+
 def test_cycles_branch_iii_with_mod():
     res = run("cycles", "--graph", "g", "--k", "3", "--mod", files={"g": K44})
     assert res.exit_code == 0

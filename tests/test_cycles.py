@@ -16,16 +16,13 @@ from cyclemod.cycles import (
     all_residues_mod_k,
     branch_of,
     check_witness,
-    cycle_spectrum,
-    cycles_2conn_not_3conn,
-    cycles_bipartite_oracle,
-    cycles_with_odd_cycle,
     find_k_cycles,
     find_nonsep_induced_odd_cycle,
     oracle_cycles,
     split_parity,
 )
 from cyclemod.families import CONSECUTIVE, LENGTH, validate_cycle_family, validate_path_family
+from cyclemod.oraclekern import cycle_length_set
 from cyclemod.paths import ExtractionTrace
 
 
@@ -62,12 +59,12 @@ def test_split_parity():
 
 
 def test_cycle_spectrum_frozen_values():
-    assert cycle_spectrum(cycle_graph(5)) == {5}
-    assert cycle_spectrum(complete_graph(4)) == {3, 4}
-    assert cycle_spectrum(complete_graph(5)) == {3, 4, 5}
-    assert cycle_spectrum(wheel5()) == {3, 4, 5, 6}
-    assert cycle_spectrum(petersen()) == {5, 6, 8, 9}
-    assert cycle_spectrum(complete_bipartite(4, 4)) == {4, 6, 8}
+    assert cycle_length_set(cycle_graph(5)) == {5}
+    assert cycle_length_set(complete_graph(4)) == {3, 4}
+    assert cycle_length_set(complete_graph(5)) == {3, 4, 5}
+    assert cycle_length_set(wheel5()) == {3, 4, 5, 6}
+    assert cycle_length_set(petersen()) == {5, 6, 8, 9}
+    assert cycle_length_set(complete_bipartite(4, 4)) == {4, 6, 8}
 
 
 def test_oracle_cycles_prefers_consecutive():
@@ -126,35 +123,36 @@ def test_branch_of():
 
 
 def test_branch_i_glued_k4s():
-    fam = cycles_2conn_not_3conn(two_k4_glued_on_edge(), 2)
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(two_k4_glued_on_edge(), 2, trace=trace)
+    assert branch == "I" and trace.branches[-1] == "two-cut-glue"
     assert fam.cls.kind == LENGTH
     assert sorted(fam.lengths()) == [4, 6]
 
 
-def test_branch_i_rejects_3_connected():
-    with pytest.raises(HypothesisNotMet):
-        cycles_2conn_not_3conn(complete_graph(4), 2)
-
-
 def test_branch_i_k1_cycle():
-    fam = cycles_2conn_not_3conn(cycle_graph(5), 1)
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(cycle_graph(5), 1, trace=trace)
+    assert branch == "I" and trace.branches == ["branch-I", "single-cycle"]
     assert fam.k == 1 and fam.lengths() == [5]
 
 
 def test_branch_ii_examples():
-    fam = cycles_with_odd_cycle(complete_graph(4), 2)
-    assert sorted(fam.lengths()) == [3, 4]
-    fam = cycles_with_odd_cycle(complete_graph(5), 3)
-    assert fam.cls.kind in (CONSECUTIVE, LENGTH) and fam.k == 3
-    fam = cycles_with_odd_cycle(wheel5(), 2)
+    fam, branch = find_k_cycles(complete_graph(4), 2)
+    assert branch == "II" and sorted(fam.lengths()) == [3, 4]
+    fam, branch = find_k_cycles(complete_graph(5), 3)
+    assert branch == "II" and fam.cls.kind in (CONSECUTIVE, LENGTH) and fam.k == 3
+    fam, branch = find_k_cycles(wheel5(), 2)
+    assert branch == "II"
     a, b = sorted(fam.lengths())
     assert b - a in (1, 2)
 
 
 def test_branch_ii_long_witness_constructive():
     trace = ExtractionTrace()
-    fam = cycles_with_odd_cycle(circulant_13_1_5(), 3, trace=trace)
-    assert fam.k == 3 and not trace.constructive_gap
+    fam, branch = find_k_cycles(circulant_13_1_5(), 3, trace=trace)
+    assert branch == "II" and fam.k == 3 and not trace.constructive_gap
+    assert trace.branches[-1] == "antipode-x-fan"  # the 5-cycle witness fans
 
 
 def two_cliques_on_a_trunk(m1, m2):
@@ -190,12 +188,13 @@ def test_long_witness_fans_from_u():
 
 
 def test_branch_iii_examples():
-    fam = cycles_bipartite_oracle(complete_bipartite(4, 4), 3)
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(complete_bipartite(4, 4), 3, trace=trace)
+    assert branch == "III" and trace.branches[-1] == "bipartite-oracle"
+    assert not trace.constructive_gap
     assert fam.cls.kind == LENGTH and sorted(fam.lengths()) == [4, 6, 8]
     with pytest.raises(HypothesisNotMet):
-        cycles_bipartite_oracle(complete_bipartite(3, 3), 3)  # degree 3 < 4
-    with pytest.raises(HypothesisNotMet):
-        cycles_bipartite_oracle(complete_graph(4), 2)  # not bipartite
+        find_k_cycles(complete_bipartite(3, 3), 3)  # degree 3 < 4
 
 
 # -- dispatcher and residues -------------------------------------------------

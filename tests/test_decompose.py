@@ -115,6 +115,11 @@ def test_two_separations_enumerates_every_cut_pair_in_order():
 def test_vertex_connectivity_examples():
     assert vertex_connectivity_at_least(complete_graph(5), 3)
     assert not vertex_connectivity_at_least(cycle_graph(5), 3)
+    # every atlas graph on 4..7 vertices, with a cut vertex or disconnected too
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() >= 4:
+            g = Graph(G.number_of_nodes(), sorted(tuple(sorted(e)) for e in G.edges()))
+            assert vertex_connectivity_at_least(g, 3) == (nx.node_connectivity(G) >= 3)
 
 
 def test_feasible_end_blocks():

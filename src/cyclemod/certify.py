@@ -117,7 +117,11 @@ def verify(cert):
 
     is_cycles = cert["command"] == "cycles"
     for end in ("x", "y"):
-        if cert.get(end) is not None and not _is_int(cert[end]):
+        if cert.get(end) is None:
+            # the roots are what tie the members of a paths family together
+            if not is_cycles:
+                return _fail(f"paths certificate without {end}")
+        elif not _is_int(cert[end]):
             return _fail(f"bad {end}")
     members = []
     for m in family:
@@ -131,9 +135,9 @@ def verify(cert):
         else:
             if not path_ok(g, m):
                 return _fail(f"member is not a path of the graph: {list(m)}")
-            if cert.get("x") is not None and m[0] != cert["x"]:
+            if m[0] != cert["x"]:
                 return _fail(f"member does not start at x: {list(m)}")
-            if cert.get("y") is not None and m[-1] != cert["y"]:
+            if m[-1] != cert["y"]:
                 return _fail(f"member does not end at y: {list(m)}")
 
     cls = cert["class"]

@@ -26,7 +26,7 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import contract_set, induced, is_bipartite, is_connected
+from .graph import contract_set, girth, induced, is_bipartite, is_connected
 from .decompose import (
     block_cut_tree,
     is_2_connected,
@@ -284,8 +284,7 @@ def _from_oracle(g, k, trace, tag):
 
 
 def _any_cycle(g, trace):
-    spectrum = cycle_length_set(g)
-    c = find_cycle_with_length(g, min(spectrum))
+    c = find_cycle_with_length(g, girth(g))
     trace.record("single-cycle")
     return make_cycle_family([c], cls=FamilyClass(CONSECUTIVE))
 

@@ -173,6 +173,33 @@ def is_bipartite(g):
     )
 
 
+def girth(g):
+    """Length of a shortest cycle, or None if g is a forest.
+
+    BFS from every root: a non-tree edge uv closes a walk of length
+    dist(u) + dist(v) + 1, which holds a cycle no longer than it, and from
+    a root on a shortest cycle the smallest such walk is that cycle."""
+    best = None
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: None}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+                    elif v != parent[u]:
+                        walk = dist[u] + dist[v] + 1
+                        if best is None or walk < best:
+                            best = walk
+            frontier = nxt
+    return best
+
+
 def is_connected(g, ignore=()):
     """Connectivity of G - ignore (vertex deletion)."""
     ignore = set(ignore)

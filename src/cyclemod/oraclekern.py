@@ -1,11 +1,18 @@
 """Exhaustive-search kernels: the exact set of simple (x, y)-path lengths
-and the exact set of cycle lengths of a graph.
+and the exact set of cycle lengths of a graph, plus the witness searches
+that materialize one path or cycle of a given length.
 
-These are the hot loops of the oracle layer: pure-Python depth-first
-searches over arbitrary-width int adjacency bitmasks (any n).  They count
-node expansions against a budget (default 10**7, override with the
-CYCLEMOD_BUDGET environment variable) and raise BudgetExceeded rather
-than returning a partial answer.
+These are the hot loops of the oracle layer, in pure Python; the two
+length kernels work on arbitrary-width int adjacency bitmasks (any n):
+- the path lengths come from a depth-first search over every simple path,
+  one node per step;
+- the cycle spectrum comes from a Bellman/Held-Karp subset DP, one set
+  size at a time, in O(2^n * n * max degree): one node per (vertex set,
+  end vertex) expansion and one per edge relaxation;
+- the witness searches are depth-first, one node per extension.
+Every search counts its nodes against a budget (default 10**7, override
+with the CYCLEMOD_BUDGET environment variable) and raises BudgetExceeded
+rather than returning a partial answer.
 """
 
 from __future__ import annotations
@@ -70,35 +77,40 @@ def _path_lengths_py(adj, x, y, budget):
 def _cycle_lengths_py(adj, n, budget):
     """(bitmask of realizable cycle lengths, nodes, truncated).
 
-    Each cycle is found rooted at its smallest vertex; only vertices above
-    the root are explored."""
+    Each cycle is found rooted at its smallest vertex s, by a subset DP
+    over the vertices above s, one set size at a time: ends[S] is the
+    bitmask of vertices v such that some s-v path has vertex set exactly S.
+    A set S of size >= 3 closes a cycle of length |S| when some end of S
+    is adjacent to s."""
     lengths = 0
     nodes = 0
     for s in range(n):
         above = ~((1 << (s + 1)) - 1)
-        visited = 1 << s
-        stack_v = [s]
-        stack_rem = [adj[s] & above]
-        while stack_v:
-            rem = stack_rem[-1]
-            if rem == 0:
-                visited &= ~(1 << stack_v[-1])
-                stack_v.pop()
-                stack_rem.pop()
-                continue
-            b = rem & -rem
-            stack_rem[-1] = rem & ~b
-            v = b.bit_length() - 1
-            nodes += 1
-            if nodes > budget:
-                return lengths, nodes, True
-            if visited & b:
-                continue
-            if len(stack_v) >= 2 and (adj[v] >> s) & 1:
-                lengths |= 1 << (len(stack_v) + 1)
-            visited |= b
-            stack_v.append(v)
-            stack_rem.append(adj[v] & above & ~visited)
+        up = [a & above for a in adj]
+        layer = {1 << s: 1 << s}
+        size = 1
+        while layer:
+            grown = {}
+            for verts, ends in layer.items():
+                while ends:
+                    b = ends & -ends
+                    ends ^= b
+                    rem = up[b.bit_length() - 1] & ~verts
+                    # one node for the expansion, one per edge relaxation;
+                    # an overrun reports the first node past the budget
+                    nodes += 1 + rem.bit_count()
+                    if nodes > budget:
+                        return lengths, budget + 1, True
+                    while rem:
+                        c = rem & -rem
+                        rem ^= c
+                        key = verts | c
+                        grown[key] = grown.get(key, 0) | c
+            size += 1
+            if size >= 3 and not (lengths >> size) & 1:
+                if any(ends & adj[s] for ends in grown.values()):
+                    lengths |= 1 << size
+            layer = grown
     return lengths, nodes, False
 
 
@@ -138,14 +150,18 @@ def cycle_length_set(g, budget=None):
 
 def find_path_with_length(g, x, y, length, avoid=()):
     """First (lex by neighbor order) simple (x, y)-path with exactly
-    `length` edges avoiding `avoid`, or None."""
+    `length` edges avoiding `avoid`, or None.  One node per extension is
+    counted against the default budget."""
     avoid = set(avoid)
     if x in avoid or y in avoid:
         return None
+    budget = default_budget()
+    nodes = 0
     path = [x]
     onpath = {x}
 
     def rec():
+        nonlocal nodes
         u = path[-1]
         if len(path) - 1 == length:
             return u == y
@@ -155,6 +171,9 @@ def find_path_with_length(g, x, y, length, avoid=()):
         for v in sorted(g.adj[u]):
             if v in onpath or v in avoid:
                 continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"path search exceeded {budget} nodes")
             path.append(v)
             onpath.add(v)
             if rec():
@@ -169,8 +188,11 @@ def find_path_with_length(g, x, y, length, avoid=()):
 
 
 def find_cycle_with_length(g, length, avoid=()):
-    """First simple cycle with exactly `length` edges, or None."""
+    """First simple cycle with exactly `length` edges, or None.  One node
+    per extension is counted against the default budget."""
     avoid = set(avoid)
+    budget = default_budget()
+    nodes = 0
     for s in range(g.n):
         if s in avoid:
             continue
@@ -178,12 +200,16 @@ def find_cycle_with_length(g, length, avoid=()):
         onpath = {s}
 
         def rec():
+            nonlocal nodes
             u = path[-1]
             if len(path) == length:
                 return g.has_edge(u, s)
             for v in sorted(g.adj[u]):
                 if v <= s or v in onpath or v in avoid:
                     continue
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"cycle search exceeded {budget} nodes")
                 path.append(v)
                 onpath.add(v)
                 if rec():

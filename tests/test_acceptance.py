@@ -393,6 +393,11 @@ def mutations(cert):
             m[m.index(0)] = False
             yield "member-bool", c
             break
+    if cert["command"] == "paths":
+        # without its roots, nothing ties the members' endpoints together
+        c = json.loads(json.dumps(cert))
+        c["x"] = c["y"] = None
+        yield "null-roots", c
 
 
 def test_single_field_mutations_detected():
@@ -409,6 +414,20 @@ def test_single_field_mutations_detected():
         for tag, mutated in mutations(cert):
             ok, _reason = certify.verify(mutated)
             assert not ok, f"mutation {tag!r} went undetected"
+
+
+def test_paths_certificate_mutations_detected():
+    g = complete_graph(5)
+    cert = certify.make_certificate(g, "paths", 2, find_paths_length(g, 0, 1, 2), x=0, y=1)
+    assert certify.verify(cert) == (True, None)
+    mutated = dict(mutations(cert))
+    assert "null-roots" in mutated
+    # with null roots, a first member that shares no endpoint with the others
+    mutated["null-roots-foreign-member"] = json.loads(json.dumps(mutated["null-roots"]))
+    mutated["null-roots-foreign-member"]["family"][0] = [2, 3, 4]
+    for tag, c in mutated.items():
+        ok, _reason = certify.verify(c)
+        assert not ok, f"mutation {tag!r} went undetected"
 
 
 # -- criterion 8: no constructive gap at n <= 7 -------------------------------

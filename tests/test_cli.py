@@ -75,6 +75,16 @@ def test_verify_boolean_k_fails_with_exit_4():
     assert bad.exit_code == 4 and bad.output.startswith("FAIL")
 
 
+def test_verify_paths_without_roots_fails_with_exit_4():
+    res = run("paths", "--graph", "g", "--x", "0", "--y", "1", "--k", "2",
+              "--mode", "length", files={"g": K5})
+    cert = json.loads(res.output)
+    cert["x"] = cert["y"] = None
+    cert["family"][0] = [2, 3, 4]
+    bad = run("verify", "--cert", "c", files={"c": json.dumps(cert)})
+    assert bad.exit_code == 4 and bad.output.startswith("FAIL")
+
+
 def test_cycles_branch_iii_with_mod():
     res = run("cycles", "--graph", "g", "--k", "3", "--mod", files={"g": K44})
     assert res.exit_code == 0

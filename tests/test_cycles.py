@@ -2,7 +2,7 @@
 
 import pytest
 
-from cyclemod.errors import HypothesisNotMet
+from cyclemod.errors import BudgetExceeded, HypothesisNotMet
 from cyclemod.graph import (
     Graph,
     complete_bipartite,
@@ -22,7 +22,7 @@ from cyclemod.cycles import (
     split_parity,
 )
 from cyclemod.families import CONSECUTIVE, LENGTH, validate_cycle_family, validate_path_family
-from cyclemod.oraclekern import cycle_length_set
+from cyclemod.oraclekern import cycle_length_set, find_cycle_with_length, find_path_with_length
 from cyclemod.paths import ExtractionTrace
 
 
@@ -65,6 +65,17 @@ def test_cycle_spectrum_frozen_values():
     assert cycle_length_set(wheel5()) == {3, 4, 5, 6}
     assert cycle_length_set(petersen()) == {5, 6, 8, 9}
     assert cycle_length_set(complete_bipartite(4, 4)) == {4, 6, 8}
+
+
+def test_witness_searches_are_budgeted(monkeypatch):
+    g = petersen()  # no 7-cycle, and no 0-9 path of length 10
+    assert find_cycle_with_length(g, 7) is None
+    assert find_path_with_length(g, 0, 9, 10) is None
+    monkeypatch.setenv("CYCLEMOD_BUDGET", "50")
+    with pytest.raises(BudgetExceeded):
+        find_cycle_with_length(g, 7)
+    with pytest.raises(BudgetExceeded):
+        find_path_with_length(g, 0, 9, 10)
 
 
 def test_oracle_cycles_prefers_consecutive():

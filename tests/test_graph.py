@@ -14,12 +14,15 @@ from cyclemod.graph import (
     cycle_graph,
     edges_between,
     format_graph,
+    girth,
     induced,
     is_bipartite,
     is_connected,
     parse_graph,
     shortest_path,
 )
+from cyclemod.oraclekern import cycle_length_set
+from cyclemod.smallgraphs import two_connected_graphs
 
 
 def random_graph(draw, max_n=8):
@@ -83,6 +86,16 @@ def test_connectivity_and_components():
     comps = components(g)
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
     assert is_connected(complete_graph(4), ignore=(0,))
+
+
+def test_girth_is_the_shortest_cycle_length():
+    assert girth(Graph(4, [(0, 1), (1, 2), (1, 3)])) is None
+    count = 0
+    for n in range(3, 8):
+        for g in two_connected_graphs(n):
+            assert girth(g) == min(cycle_length_set(g)), g
+            count += 1
+    assert count == 538
 
 
 def test_shortest_path_with_forbidden():

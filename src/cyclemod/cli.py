@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 parse/argument failure, 2 hypothesis not met,
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -71,7 +72,32 @@ def _emit(g, command, k, trace, extract):
         sys.exit(EXIT_NONE)
 
 
-@click.group()
+@contextmanager
+def _usage_errors_exit_parse():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_PARSE
+        raise
+
+
+class _Cli(click.Group):
+    """click exits 2 on a usage error (bad value, missing or unknown option,
+    unknown command), and 2 means "hypothesis not met" here.  Such errors
+    arise while the group parses its own arguments or while it resolves
+    and parses a subcommand; both exit EXIT_PARSE, with click's message on
+    stderr."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_parse():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_parse():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Cli)
 def main():
     """Constructive extraction of path/cycle families with controlled
     length patterns."""

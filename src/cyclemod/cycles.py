@@ -28,7 +28,7 @@ from .errors import (
 )
 from .graph import contract_set, girth, induced, is_bipartite, is_connected
 from .decompose import (
-    block_cut_tree,
+    cut_vertices,
     is_2_connected,
     leaf_blocks,
     two_separations,
@@ -171,7 +171,7 @@ def check_witness(g, w):
     if rest:
         # G - V(C) is connected: the separating test passed above
         sub, to_orig = induced(g, rest)
-        cuts = {to_orig[v] for v in block_cut_tree(sub).cut_vertices}
+        cuts = {to_orig[v] for v in cut_vertices(sub)}
         n_c = len(c)
         for v in rest - cuts:
             hits = g.adj[v] & cset

@@ -112,15 +112,68 @@ def leaf_blocks(g):
     return [(bct.blocks[i], v) for i, v in bct.incidence if i in ends]
 
 
+def _cut_vertices(g, without=None):
+    """Cut vertices of G - without (one vertex id, or None for G itself),
+    as a set; None when that graph is disconnected.
+
+    One iterative low-link DFS (Tarjan 1972).  The deleted vertex counts as
+    visited with a discovery time later than any other, so it is never
+    entered and an edge to it never lowers a low-link.
+    """
+    n = g.n
+    adj = g.adj
+    disc = [0] * n  # 0: not yet visited; discovery times start at 1
+    low = [0] * n
+    size = n
+    if without is not None:
+        disc[without] = n + 1
+        size -= 1
+    if size <= 0:
+        return set()
+    root = 1 if without == 0 else 0
+    disc[root] = low[root] = seen = 1
+    cuts = set()
+    root_children = 0
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        v, parent, children = stack[-1]
+        for w in children:
+            if not disc[w]:
+                seen += 1
+                disc[w] = low[w] = seen
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent >= 0:
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    cuts.add(parent)
+    if seen < size:
+        return None
+    if root_children > 1:
+        cuts.add(root)
+    return cuts
+
+
 def cut_vertices(g):
-    return block_cut_tree(g).cut_vertices
+    """Sorted cut vertices of a connected graph."""
+    if g.n == 0:
+        raise InvalidArgument("empty graph")
+    cuts = _cut_vertices(g)
+    if cuts is None:
+        raise Disconnected("cut_vertices needs a connected graph")
+    return tuple(sorted(cuts))
 
 
 def is_2_connected(g):
     """n >= 3, connected, no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    return not block_cut_tree(g).cut_vertices
+    return g.n >= 3 and _cut_vertices(g) == set()
 
 
 def is_rooted_2_connected(g, x, y):
@@ -136,22 +189,29 @@ def two_separations(g):
     """Every 2-separation (A, B) of g, by lexicographic cut pair (u, v).
 
     A is the component of G - {u, v} holding its smallest vertex id, plus
-    u and v; B is the rest of the graph plus u and v.
+    u and v; B is the rest of the graph plus u and v.  The partners v > u
+    of u are the cut vertices of G - u, from one low-link walk; only when
+    G - u is itself disconnected is each pair tested on its own.
     """
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if is_connected(g, ignore=(u, v)):  # cheaper than components(); most pairs pass
-                continue
+    n = g.n
+    for u in range(n):
+        cuts = _cut_vertices(g, u)
+        if cuts is None:
+            partners = (v for v in range(u + 1, n) if not is_connected(g, ignore=(u, v)))
+        else:
+            partners = sorted(v for v in cuts if v > u)
+        for v in partners:
             a_side = set(components(g, ignore=(u, v))[0]) | {u, v}
-            b_side = (set(range(g.n)) - a_side) | {u, v}
+            b_side = (set(range(n)) - a_side) | {u, v}
             yield Separation2(a=tuple(sorted(a_side)), b=tuple(sorted(b_side)), cut=(u, v))
 
 
 def vertex_connectivity_at_least(g, t):
     """Decide kappa(G) >= t for t in {2, 3}.
 
-    For t = 3 the pair scan alone decides: on n >= 4 vertices a graph with
-    a cut vertex, or a disconnected one, also has a separating pair."""
+    For t = 3 the 2-separation scan alone decides: on n >= 4 vertices a
+    graph with a cut vertex, or a disconnected one, also has a separating
+    pair."""
     if t not in (2, 3):
         raise InvalidArgument("t must be 2 or 3")
     if g.n < t + 1:

@@ -90,19 +90,6 @@ class Graph:
         return Graph(self.n, [e for e in self.edges() if e != (min(u, v), max(u, v))])
 
 
-def edges_between(g, s, t):
-    """E_G(S, T) for disjoint vertex sets: (count, sorted edge list)."""
-    s, t = set(s), set(t)
-    if s & t:
-        raise InvalidArgument("edges_between needs disjoint sets")
-    out = []
-    for u in sorted(s):
-        for v in sorted(g.adj[u]):
-            if v in t:
-                out.append((u, v))
-    return len(out), out
-
-
 def induced(g, s):
     """Induced subgraph G[S], relabeled 0..|S|-1.
 

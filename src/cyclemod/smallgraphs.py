@@ -2,28 +2,13 @@
 
 The graph atlas shipped with networkx lists all graphs on up to 7
 vertices up to isomorphism; we filter it down to the connected /
-2-connected ones.  A brute-force enumerator over edge subsets of K_n
-(deduplicated by the minimum adjacency string over all vertex
-permutations) provides an independent cross-check at n <= 5.
+2-connected ones.  The tests cross-check it at n <= 5 against a
+brute-force enumeration over edge subsets of K_n.
 """
-
-from itertools import combinations, permutations
 
 from .graph import Graph
 from .decompose import is_2_connected
 from .errors import InvalidArgument
-
-
-def canonical_key(g):
-    """Minimum upper-triangle adjacency bitstring over all relabelings."""
-    n = g.n
-    pairs = list(combinations(range(n), 2))
-    best = None
-    for perm in permutations(range(n)):
-        key = tuple(1 if g.has_edge(perm[u], perm[v]) else 0 for u, v in pairs)
-        if best is None or key < best:
-            best = key
-    return (n, best)
 
 
 def connected_graphs(n):
@@ -44,24 +29,3 @@ def connected_graphs(n):
 def two_connected_graphs(n):
     """All 2-connected graphs on exactly n vertices, one per class."""
     return [g for g in connected_graphs(n) if is_2_connected(g)]
-
-
-def brute_force_two_connected(n):
-    """Independent enumeration by edge subsets of K_n, deduplicated by
-    canonical_key.  Affordable at n <= 5; used to cross-check the atlas."""
-    pairs = list(combinations(range(n), 2))
-    seen = set()
-    out = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if len(edges) < n:  # a 2-connected graph needs >= n edges
-            continue
-        g = Graph(n, edges)
-        if not is_2_connected(g):
-            continue
-        key = canonical_key(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(g)
-    return out

@@ -44,6 +44,33 @@ def test_paths_bad_file():
     assert res.exit_code == 1
 
 
+def test_non_integer_k_exits_1():
+    res = run("cycles", "--graph", "g", "--k", "abc", files={"g": K4})
+    assert res.exit_code == 1
+    assert "Invalid value for '--k'" in res.stderr
+
+
+def test_missing_k_exits_1():
+    res = run("cycles", "--graph", "g", files={"g": K4})
+    assert res.exit_code == 1
+    assert "Missing option '--k'" in res.stderr
+
+
+def test_unknown_option_exits_1():
+    res = run("cycles", "--graph", "g", "--k", "2", "--bogus", files={"g": K4})
+    assert res.exit_code == 1
+    assert "No such option '--bogus'" in res.stderr
+    res = run("--bogus", "cycles")  # an option of the group itself
+    assert res.exit_code == 1
+    assert "No such option '--bogus'" in res.stderr
+
+
+def test_unknown_command_exits_1():
+    res = run("bogus")
+    assert res.exit_code == 1
+    assert "No such command 'bogus'" in res.stderr
+
+
 def test_cycles_and_verify_round_trip():
     res = run("cycles", "--graph", "g", "--k", "2", files={"g": K4})
     assert res.exit_code == 0

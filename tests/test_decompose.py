@@ -1,13 +1,20 @@
 """Block-cut decomposition and connectivity predicates."""
 
 import itertools
+import random
+from collections import Counter
 
 import networkx as nx
+import pytest
 from hypothesis import given, strategies as st
 
-from cyclemod.graph import Graph, complete_graph, cycle_graph, is_connected
+from cyclemod import decompose, graph
+from cyclemod.errors import Disconnected
+from cyclemod.graph import Graph, complete_graph, components, cycle_graph, is_connected
 from cyclemod.decompose import (
+    Separation2,
     block_cut_tree,
+    cut_vertices,
     feasible_end_blocks,
     find_2_separation,
     is_2_connected,
@@ -112,13 +119,98 @@ def test_two_separations_enumerates_every_cut_pair_in_order():
     assert find_2_separation(g) == seps[0]
 
 
+def pair_scan_two_separations(g):
+    # the O(n^2 (n + m)) pair scan two_separations used to run, kept as the
+    # reference for the low-link walk
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if is_connected(g, ignore=(u, v)):  # cheaper than components(); most pairs pass
+                continue
+            a_side = set(components(g, ignore=(u, v))[0]) | {u, v}
+            b_side = (set(range(g.n)) - a_side) | {u, v}
+            yield Separation2(a=tuple(sorted(a_side)), b=tuple(sorted(b_side)), cut=(u, v))
+
+
+def _atlas():
+    for G in nx.graph_atlas_g():
+        yield G, Graph(G.number_of_nodes(), sorted(tuple(sorted(e)) for e in G.edges()))
+
+
+def test_two_separations_match_the_pair_scan_on_the_atlas():
+    checked = 0
+    for _G, g in _atlas():
+        assert list(two_separations(g)) == list(pair_scan_two_separations(g)), g.edges()
+        checked += 1
+    assert checked == 1253  # every atlas graph, disconnected ones included
+
+
+def _random_graph(rng):
+    # expected degree 3 to 12, so that disconnected graphs, graphs with a
+    # cut vertex, 2-connected graphs with a 2-cut and 3-connected graphs
+    # all occur (each at least 350 times in the 3,000)
+    n = rng.randint(2, 30)
+    p = min(1.0, rng.choice((3, 4, 5, 6, 8, 12)) / n)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_two_separations_match_the_pair_scan_on_random_graphs():
+    rng = random.Random(20191)
+    kinds = Counter()
+    for _ in range(3000):
+        g = _random_graph(rng)
+        seps = list(two_separations(g))
+        assert seps == list(pair_scan_two_separations(g)), g.edges()
+        if not is_connected(g):
+            kinds["disconnected"] += 1
+        elif not is_2_connected(g):
+            kinds["cut vertex"] += 1
+        else:
+            kinds["2-cut" if seps else "3-connected"] += 1
+    assert min(kinds[k] for k in ("disconnected", "cut vertex", "2-cut", "3-connected")) >= 350, kinds
+
+
+def test_cut_predicates_match_networkx_on_the_atlas():
+    for G, g in _atlas():
+        assert is_2_connected(g) == (g.n >= 3 and nx.is_biconnected(G))
+        if g.n and nx.is_connected(G):
+            assert cut_vertices(g) == tuple(sorted(nx.articulation_points(G)))
+        elif g.n:
+            with pytest.raises(Disconnected):
+                cut_vertices(g)
+
+
+def circulant(n, steps):
+    return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
+def test_two_separations_run_no_pair_scan(monkeypatch):
+    # one low-link walk per deleted vertex: on a 2-connected graph neither
+    # a per-pair connectivity test nor a block-cut tree is built
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graph, "is_connected", counted("is_connected", graph.is_connected))
+    monkeypatch.setattr(decompose, "is_connected", counted("is_connected", decompose.is_connected))
+    monkeypatch.setattr(decompose, "block_cut_tree", counted("block_cut_tree", decompose.block_cut_tree))
+    g = circulant(60, (1, 4))
+    assert list(two_separations(g)) == []
+    assert calls == Counter()
+    g = circulant(60, (1,))  # the 60-cycle: every non-adjacent pair is a 2-cut
+    assert len(list(two_separations(g))) == 60 * 59 // 2 - 60
+    assert calls == Counter()
+
+
 def test_vertex_connectivity_examples():
     assert vertex_connectivity_at_least(complete_graph(5), 3)
     assert not vertex_connectivity_at_least(cycle_graph(5), 3)
     # every atlas graph on 4..7 vertices, with a cut vertex or disconnected too
-    for G in nx.graph_atlas_g():
-        if G.number_of_nodes() >= 4:
-            g = Graph(G.number_of_nodes(), sorted(tuple(sorted(e)) for e in G.edges()))
+    for G, g in _atlas():
+        if g.n >= 4:
             assert vertex_connectivity_at_least(g, 3) == (nx.node_connectivity(G) >= 3)
 
 
@@ -165,8 +257,9 @@ def test_leaf_blocks_match_the_incidence_scan():
 
 @given(connected_graphs)
 def test_cut_vertices_match_networkx(g):
-    bct = block_cut_tree(g)
-    assert sorted(bct.cut_vertices) == sorted(nx.articulation_points(_nx(g)))
+    theirs = sorted(nx.articulation_points(_nx(g)))
+    assert sorted(block_cut_tree(g).cut_vertices) == theirs
+    assert list(cut_vertices(g)) == theirs
 
 
 @given(connected_graphs)

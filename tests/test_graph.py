@@ -12,7 +12,6 @@ from cyclemod.graph import (
     components,
     contract_set,
     cycle_graph,
-    edges_between,
     format_graph,
     girth,
     induced,
@@ -103,12 +102,6 @@ def test_shortest_path_with_forbidden():
     assert shortest_path(g, 0, 3) in ((0, 1, 2, 3), (0, 5, 4, 3))
     assert shortest_path(g, 0, 3, forbidden=(1,)) == (0, 5, 4, 3)
     assert shortest_path(g, 0, 2, forbidden=(1,), forbidden_edges=((3, 4),)) is None
-
-
-def test_edges_between():
-    g = complete_bipartite(2, 3)
-    assert edges_between(g, {0, 1}, {2, 3, 4})[0] == 6
-    assert edges_between(g, {0}, {1}) == (0, [])
 
 
 def test_parse_format_round_trip_explicit():

@@ -10,7 +10,8 @@ Dispatch:
 * 3-connected and non-bipartite: find a non-separating induced odd cycle
   witness and fan path families around it (branch II).
 * 3-connected bipartite: the exhaustive oracle assembles the family from
-  the cycle spectrum (branch III; by design, not a constructive gap).
+  witness searches over ascending windows of lengths (branch III; by
+  design, not a constructive gap).
 
 With k odd, either output covers every residue class of cycle lengths
 modulo k, which all_residues_mod_k packages up.
@@ -52,7 +53,7 @@ from .families import (
     semi_rows,
     validate_cycle_family,
 )
-from .oraclekern import cycle_length_set, find_cycle_with_length
+from .oraclekern import _first_cycle, default_budget, find_cycle_with_length
 from .paths import (
     ExtractionTrace,
     _BRANCH_ERRORS,
@@ -76,31 +77,42 @@ def split_parity(k):
 
 def oracle_cycles(g, k):
     """k cycles of consecutive lengths (preferred) or satisfying the length
-    condition, assembled from the exact cycle spectrum; None if neither
-    pattern is realizable."""
-    lengths = cycle_length_set(g)
-    top = max(lengths, default=0)
-    pick = None
-    for a in range(3, top + 1):
-        if all(a + i in lengths for i in range(k)):
-            pick = (CONSECUTIVE, [a + i for i in range(k)])
-            break
-    if pick is None:
-        for a in range(3, top + 1):
-            if all(a + 2 * i in lengths for i in range(k)):
-                pick = (LENGTH, [a + 2 * i for i in range(k)])
-                break
-    if pick is None:
+    condition, from the smallest window of lengths that realizes the
+    pattern; None if neither pattern is realizable.
+
+    Windows are scanned in ascending order and each length is decided at
+    most once: lengths below the girth or above n are absent, and so are
+    odd lengths in a bipartite graph; any other length is decided by the
+    first-found cycle search, and the cycle it finds is the family member.
+    All searches of one call draw on one node budget."""
+    shortest = girth(g)
+    if shortest is None:
         return None
-    kind, want = pick
-    members = []
-    for length in want:
-        c = find_cycle_with_length(g, length)
-        if c is None:
-            raise InvalidWitness(f"cycle length {length} in the spectrum but not realizable")
-        members.append(c)
-    fam = make_cycle_family(members, cls=FamilyClass(kind))
-    return validate_cycle_family(g, fam)
+    bipartite = is_bipartite(g) is not None
+    budget = default_budget()
+    nodes = 0
+    found = {}  # length -> first cycle of that length, or None
+
+    def ruled_out(length):  # absent with no search, or searched in vain
+        if length > g.n or (bipartite and length % 2 == 1):
+            return True
+        return length in found and found[length] is None
+
+    def realized(length):
+        nonlocal nodes
+        if length not in found:
+            found[length], nodes = _first_cycle(g, length, (), budget, nodes)
+        return found[length] is not None
+
+    for kind, step in ((CONSECUTIVE, 1), (LENGTH, 2)):
+        for a in range(shortest, g.n + 1):
+            want = [a + step * i for i in range(k)]
+            # a window with a length known to be absent costs no search
+            if any(map(ruled_out, want)) or not all(map(realized, want)):
+                continue
+            fam = make_cycle_family([found[length] for length in want], cls=FamilyClass(kind))
+            return validate_cycle_family(g, fam)
+    return None
 
 
 # -- the odd-cycle witness ---------------------------------------------------

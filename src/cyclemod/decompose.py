@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, InvalidArgument
-from .graph import components, is_connected
+from .graph import component_of, is_connected
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,8 @@ def two_separations(g):
         else:
             partners = sorted(v for v in cuts if v > u)
         for v in partners:
-            a_side = set(components(g, ignore=(u, v))[0]) | {u, v}
+            root = next(w for w in range(n) if w != u and w != v)
+            a_side = component_of(g, root, (u, v)) | {u, v}
             b_side = (set(range(n)) - a_side) | {u, v}
             yield Separation2(a=tuple(sorted(a_side)), b=tuple(sorted(b_side)), cut=(u, v))
 

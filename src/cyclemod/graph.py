@@ -165,13 +165,16 @@ def girth(g):
 
     BFS from every root: a non-tree edge uv closes a walk of length
     dist(u) + dist(v) + 1, which holds a cycle no longer than it, and from
-    a root on a shortest cycle the smallest such walk is that cycle."""
+    a root on a shortest cycle the smallest such walk is that cycle.  An
+    edge seen from depth d closes a walk of length >= 2d, so each search
+    stops at the first depth d with 2d >= the best walk so far."""
     best = None
     for root in range(g.n):
         dist = {root: 0}
         parent = {root: None}
         frontier = [root]
-        while frontier:
+        depth = 0
+        while frontier and (best is None or 2 * depth < best):
             nxt = []
             for u in frontier:
                 for v in g.adj[u]:
@@ -184,6 +187,7 @@ def girth(g):
                         if best is None or walk < best:
                             best = walk
             frontier = nxt
+            depth += 1
     return best
 
 
@@ -193,15 +197,21 @@ def is_connected(g, ignore=()):
     verts = [v for v in range(g.n) if v not in ignore]
     if not verts:
         return True
-    seen = {verts[0]}
-    stack = [verts[0]]
+    return len(component_of(g, verts[0], ignore)) == len(verts)
+
+
+def component_of(g, root, ignore=()):
+    """Vertex set of the component of G - ignore that holds root."""
+    ignore = set(ignore)
+    seen = {root}
+    stack = [root]
     while stack:
         u = stack.pop()
         for v in g.adj[u]:
             if v not in ignore and v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == len(verts)
+    return seen
 
 
 def components(g, ignore=()):

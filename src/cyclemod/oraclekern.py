@@ -8,8 +8,11 @@ length kernels work on arbitrary-width int adjacency bitmasks (any n):
   one node per step;
 - the cycle spectrum comes from a Bellman/Held-Karp subset DP, one set
   size at a time, in O(2^n * n * max degree): one node per (vertex set,
-  end vertex) expansion and one per edge relaxation;
-- the witness searches are depth-first, one node per extension.
+  end vertex) expansion and one per edge relaxation; the library's cycle
+  oracle no longer calls it, and it stays as the tests' ground truth;
+- the witness searches are depth-first, one node per extension; a cycle
+  search can go on counting from where earlier ones stopped, so that a
+  series of searches shares one budget.
 Every search counts its nodes against a budget (default 10**7, override
 with the CYCLEMOD_BUDGET environment variable) and raises BudgetExceeded
 rather than returning a partial answer.
@@ -190,9 +193,16 @@ def find_path_with_length(g, x, y, length, avoid=()):
 def find_cycle_with_length(g, length, avoid=()):
     """First simple cycle with exactly `length` edges, or None.  One node
     per extension is counted against the default budget."""
+    return _first_cycle(g, length, avoid, default_budget(), 0)[0]
+
+
+def _first_cycle(g, length, avoid, budget, nodes):
+    """(first simple cycle with exactly `length` edges or None, nodes).
+
+    `nodes` counts what earlier searches drawing on the same `budget` have
+    spent; this search adds one node per extension and raises
+    BudgetExceeded once the total passes the budget."""
     avoid = set(avoid)
-    budget = default_budget()
-    nodes = 0
     for s in range(g.n):
         if s in avoid:
             continue
@@ -219,5 +229,5 @@ def find_cycle_with_length(g, length, avoid=()):
             return False
 
         if length >= 3 and rec():
-            return tuple(path)
-    return None
+            return tuple(path), nodes
+    return None, nodes

@@ -2,7 +2,9 @@
 
 import pytest
 
-from cyclemod.errors import BudgetExceeded, HypothesisNotMet
+from cyclemod import certify
+from cyclemod.errors import BudgetExceeded, HypothesisNotMet, InvalidWitness
+from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
     Graph,
     complete_bipartite,
@@ -21,9 +23,23 @@ from cyclemod.cycles import (
     oracle_cycles,
     split_parity,
 )
-from cyclemod.families import CONSECUTIVE, LENGTH, validate_cycle_family, validate_path_family
-from cyclemod.oraclekern import cycle_length_set, find_cycle_with_length, find_path_with_length
+from cyclemod.families import (
+    CONSECUTIVE,
+    LENGTH,
+    FamilyClass,
+    make_cycle_family,
+    validate_cycle_family,
+    validate_path_family,
+)
+from cyclemod.oraclekern import (
+    DEFAULT_BUDGET,
+    _first_cycle,
+    cycle_length_set,
+    find_cycle_with_length,
+    find_path_with_length,
+)
 from cyclemod.paths import ExtractionTrace
+from cyclemod.smallgraphs import connected_graphs
 
 
 def petersen():
@@ -84,6 +100,78 @@ def test_oracle_cycles_prefers_consecutive():
     fam = oracle_cycles(complete_bipartite(4, 4), 3)
     assert fam.cls.kind == LENGTH and sorted(fam.lengths()) == [4, 6, 8]
     assert oracle_cycles(cycle_graph(5), 2) is None
+
+
+def _oracle_cycles_by_spectrum(g, k):
+    """The oracle as it was before the ascending windows: the first window
+    of the whole cycle spectrum, then one witness search per length."""
+    lengths = cycle_length_set(g)
+    top = max(lengths, default=0)
+    pick = None
+    for a in range(3, top + 1):
+        if all(a + i in lengths for i in range(k)):
+            pick = (CONSECUTIVE, [a + i for i in range(k)])
+            break
+    if pick is None:
+        for a in range(3, top + 1):
+            if all(a + 2 * i in lengths for i in range(k)):
+                pick = (LENGTH, [a + 2 * i for i in range(k)])
+                break
+    if pick is None:
+        return None
+    kind, want = pick
+    members = []
+    for length in want:
+        c = find_cycle_with_length(g, length)
+        if c is None:
+            raise InvalidWitness(f"cycle length {length} in the spectrum but not realizable")
+        members.append(c)
+    fam = make_cycle_family(members, cls=FamilyClass(kind))
+    return validate_cycle_family(g, fam)
+
+
+def test_oracle_cycles_matches_the_spectrum_on_the_atlas():
+    count = 0
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for k in range(1, 5):
+                assert oracle_cycles(g, k) == _oracle_cycles_by_spectrum(g, k), (g, k)
+            count += 1
+    assert count == 996
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec(n=n, min_degree=d, bipartite=b, seed=0)
+    for n in range(8, 15) for d in (3, 4, 5) for b in (False, True)
+    if not (b and d > n // 2)
+], ids=repr)
+def test_oracle_cycles_matches_the_spectrum_on_generated_graphs(spec):
+    g = generate(spec)
+    for k in (2, 3, 4):
+        assert oracle_cycles(g, k) == _oracle_cycles_by_spectrum(g, k), k
+
+
+@pytest.mark.parametrize("n, d, k", [(24, 4, 3), (200, 5, 4)])
+def test_branch_iii_beyond_the_spectrum(n, d, k):
+    # at n = 24 the spectrum exceeds the default budget
+    g = generate(GenSpec(n=n, min_degree=d, connectivity=3, bipartite=True, seed=1))
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(g, k, trace=trace)
+    assert branch == "III" and fam.cls.kind == LENGTH and fam.k == k
+    cert = certify.make_certificate(g, "cycles", k, fam, branch=branch, trace=trace)
+    assert certify.verify(certify.from_json(certify.to_json(cert))) == (True, None)
+
+
+def test_oracle_cycles_searches_share_one_budget(monkeypatch):
+    g = petersen()  # the first consecutive window is (5, 6)
+    spent = [_first_cycle(g, length, (), DEFAULT_BUDGET, 0)[1] for length in (5, 6)]
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(sum(spent)))
+    assert sorted(oracle_cycles(g, 2).lengths()) == [5, 6]
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(sum(spent) - 1))
+    # each search alone fits the smaller budget, their sum does not
+    assert all(find_cycle_with_length(g, length) for length in (5, 6))
+    with pytest.raises(BudgetExceeded):
+        oracle_cycles(g, 2)
 
 
 # -- the odd-cycle witness ---------------------------------------------------

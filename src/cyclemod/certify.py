@@ -38,7 +38,7 @@ def make_certificate(g, command, k, fam, branch=None, x=None, y=None,
     cert = {
         "version": __version__,
         "command": command,
-        "graph": {"n": g.n, "edges": [list(e) for e in sorted(g.edges())]},
+        "graph": {"n": g.n, "edges": [list(e) for e in g.edges()]},
         "k": k,
         "x": x,
         "y": y,

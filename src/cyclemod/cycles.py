@@ -20,20 +20,19 @@ modulo k, which all_residues_mod_k packages up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (
     HypothesisNotMet,
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import contract_set, girth, induced, is_bipartite, is_connected
+from .graph import _girth, contract_set, girth, induced, is_bipartite, is_connected
 from .decompose import (
     cut_vertices,
     is_2_connected,
     leaf_blocks,
     two_separations,
-    vertex_connectivity_at_least,
 )
 from .families import (
     CONSECUTIVE,
@@ -85,10 +84,10 @@ def oracle_cycles(g, k):
     odd lengths in a bipartite graph; any other length is decided by the
     first-found cycle search, and the cycle it finds is the family member.
     All searches of one call draw on one node budget."""
-    shortest = girth(g)
+    bipartite = is_bipartite(g) is not None
+    shortest = _girth(g, bipartite)
     if shortest is None:
         return None
-    bipartite = is_bipartite(g) is not None
     budget = default_budget()
     nodes = 0
     found = {}  # length -> first cycle of that length, or None
@@ -220,12 +219,13 @@ def find_nonsep_induced_odd_cycle(g):
 # -- branch I: 2-connected but not 3-connected -------------------------------
 
 
-def _branch_i(g, k, trace):
+def _branch_i(g, k, separations, trace):
     """k >= 2 cycles satisfying the length condition, glued across a 2-cut
-    of a graph that find_k_cycles has checked and sent here."""
+    of a graph that find_k_cycles has checked and sent here; separations
+    are its 2-separations in two_separations order."""
     l, phi = split_parity(k)
     last_error = None
-    for sep in two_separations(g):
+    for sep in separations:
         try:
             fam = _glue_sides(g, k, l, phi, sep.a, sep.b, *sep.cut, trace)
         except _BRANCH_ERRORS as exc:
@@ -578,11 +578,23 @@ def _close_around(g, k, rot, a, paths, trace):
 def branch_of(g):
     """Which branch of the dispatch handles g: "I" (2-connected but not
     3-connected), "II" (3-connected non-bipartite), "III" (bipartite)."""
-    if g.n < 4 or not vertex_connectivity_at_least(g, 3):
-        return "I"
-    if is_bipartite(g) is None:
-        return "II"
-    return "III"
+    return _classify(g)[0]
+
+
+def _classify(g):
+    """(branch_of(g), separations): for branch I on n >= 4 vertices the
+    2-separations of g in two_separations order, resumed from the scan that
+    found the first one; otherwise no separations.
+
+    On n >= 4 vertices g is 3-connected exactly when it has no
+    2-separation (see vertex_connectivity_at_least)."""
+    if g.n < 4:
+        return "I", iter(())
+    separations = two_separations(g)
+    first = next(separations, None)
+    if first is not None:
+        return "I", chain((first,), separations)
+    return ("II" if is_bipartite(g) is None else "III"), iter(())
 
 
 def find_k_cycles(g, k, trace=None):
@@ -598,12 +610,12 @@ def find_k_cycles(g, k, trace=None):
         raise HypothesisNotMet("need a 2-connected graph")
     if g.min_degree() < k + 1:
         raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
-    branch = branch_of(g)
+    branch, separations = _classify(g)
     trace.record(f"branch-{branch}")
     if k == 1:
         fam = _any_cycle(g, trace)
     elif branch == "I":
-        fam = _branch_i(g, k, trace)
+        fam = _branch_i(g, k, separations, trace)
     elif branch == "II":
         fam = _branch_ii(g, k, trace)
     else:

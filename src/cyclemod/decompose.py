@@ -191,10 +191,11 @@ def two_separations(g):
     A is the component of G - {u, v} holding its smallest vertex id, plus
     u and v; B is the rest of the graph plus u and v.  The partners v > u
     of u are the cut vertices of G - u, from one low-link walk; only when
-    G - u is itself disconnected is each pair tested on its own.
+    G - u is itself disconnected is each pair tested on its own.  The last
+    vertex has no partner above it, so it gets no walk.
     """
     n = g.n
-    for u in range(n):
+    for u in range(n - 1):
         cuts = _cut_vertices(g, u)
         if cuts is None:
             partners = (v for v in range(u + 1, n) if not is_connected(g, ignore=(u, v)))

@@ -168,6 +168,14 @@ def girth(g):
     a root on a shortest cycle the smallest such walk is that cycle.  An
     edge seen from depth d closes a walk of length >= 2d, so each search
     stops at the first depth d with 2d >= the best walk so far."""
+    return _girth(g, is_bipartite(g) is not None)
+
+
+def _girth(g, bipartite):
+    """girth(g), given whether g is bipartite: the scan stops as soon as a
+    walk reaches the floor, 3, or 4 when g is bipartite (no odd cycles),
+    since no cycle is shorter."""
+    floor = 4 if bipartite else 3
     best = None
     for root in range(g.n):
         dist = {root: 0}
@@ -185,6 +193,8 @@ def girth(g):
                     elif v != parent[u]:
                         walk = dist[u] + dist[v] + 1
                         if best is None or walk < best:
+                            if walk == floor:
+                                return walk
                             best = walk
             frontier = nxt
             depth += 1

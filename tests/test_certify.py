@@ -1,11 +1,13 @@
 """Certificate emission, canonical serialization, independent verification."""
 
 import copy
+from dataclasses import replace
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclemod import certify
-from cyclemod.graph import complete_graph
+from cyclemod.generate import GenSpec, generate
+from cyclemod.graph import Graph, complete_graph
 from cyclemod.cycles import find_k_cycles, residue_map
 from cyclemod.paths import ExtractionTrace, find_paths_flex, find_paths_length
 
@@ -166,3 +168,39 @@ def test_repeated_vertex_detected(seed):
     m[j] = m[(j + 1) % len(m)]
     ok, _ = certify.verify(cert)
     assert not ok
+
+
+def _round_trip(g, command, k, fam, **fields):
+    text = certify.to_json(certify.make_certificate(g, command, k, fam, **fields))
+    assert certify.verify(certify.from_json(text)) == (True, None)
+
+
+def _glued(a, b):
+    """a and b sharing vertices 0 and 1: 2-connected but not 3-connected."""
+    def lift(v):
+        return v if v < 2 else v + a.n - 2
+    return Graph(a.n + b.n - 2, set(a.edges()) | {(lift(u), lift(v)) for u, v in b.edges()})
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_extractions_round_trip_through_verify(data):
+    n = data.draw(st.integers(6, 9), label="n")
+    bipartite = data.draw(st.booleans(), label="bipartite")
+    d = data.draw(st.integers(3, n // 2 if bipartite else 5), label="min_degree")
+    spec = GenSpec(n=n, min_degree=d, connectivity=data.draw(st.sampled_from((2, 3))),
+                   bipartite=bipartite, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    g = generate(spec)
+    if data.draw(st.booleans(), label="glued"):  # reach branch I
+        g = _glued(g, generate(replace(spec, seed=spec.seed + 1)))
+    x, y = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    # k inside each hypothesis: delta >= k + 1 for cycles, a rooted minimum
+    # degree of 2k for length paths and 2k - 1 for flexible ones
+    k = data.draw(st.integers(1, d - 1), label="k cycles")
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(g, k, trace=trace)
+    _round_trip(g, "cycles", k, fam, branch=branch, trace=trace)
+    k = data.draw(st.integers(1, d // 2), label="k length paths")
+    _round_trip(g, "paths", k, find_paths_length(g, x, y, k), x=x, y=y)
+    k = data.draw(st.integers(1, (d + 1) // 2), label="k flex paths")
+    _round_trip(g, "paths", k, find_paths_flex(g, x, y, k), x=x, y=y)

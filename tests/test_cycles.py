@@ -2,7 +2,7 @@
 
 import pytest
 
-from cyclemod import certify
+from cyclemod import certify, cycles, decompose
 from cyclemod.errors import BudgetExceeded, HypothesisNotMet, InvalidWitness
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
@@ -38,6 +38,7 @@ from cyclemod.oraclekern import (
     find_cycle_with_length,
     find_path_with_length,
 )
+from cyclemod.decompose import two_separations
 from cyclemod.paths import ExtractionTrace
 from cyclemod.smallgraphs import connected_graphs
 
@@ -227,6 +228,22 @@ def test_branch_i_glued_k4s():
     assert branch == "I" and trace.branches[-1] == "two-cut-glue"
     assert fam.cls.kind == LENGTH
     assert sorted(fam.lengths()) == [4, 6]
+
+
+def test_branch_i_resumes_the_classifying_scan(monkeypatch):
+    # the dispatch finds the first 2-separation once and the glue starts
+    # from it, rather than scanning again from the pair (0, 1)
+    scans = []
+
+    def counted(g):
+        scans.append(g)
+        return two_separations(g)
+
+    monkeypatch.setattr(decompose, "two_separations", counted)
+    monkeypatch.setattr(cycles, "two_separations", counted)
+    fam, branch = find_k_cycles(two_k4_glued_on_edge(), 2)
+    assert branch == "I" and sorted(fam.lengths()) == [4, 6]
+    assert len(scans) == 1
 
 
 def test_branch_i_k1_cycle():

@@ -184,8 +184,9 @@ def circulant(n, steps):
 
 
 def test_two_separations_run_no_pair_scan(monkeypatch):
-    # one low-link walk per deleted vertex: on a 2-connected graph neither
-    # a per-pair connectivity test nor a block-cut tree is built
+    # one low-link walk per deleted vertex but the last, which has no partner
+    # above it: on a 2-connected graph neither a per-pair connectivity test
+    # nor a block-cut tree is built
     calls = Counter()
 
     def counted(name, fn):
@@ -197,12 +198,14 @@ def test_two_separations_run_no_pair_scan(monkeypatch):
     monkeypatch.setattr(graph, "is_connected", counted("is_connected", graph.is_connected))
     monkeypatch.setattr(decompose, "is_connected", counted("is_connected", decompose.is_connected))
     monkeypatch.setattr(decompose, "block_cut_tree", counted("block_cut_tree", decompose.block_cut_tree))
+    monkeypatch.setattr(decompose, "_cut_vertices", counted("walk", decompose._cut_vertices))
     g = circulant(60, (1, 4))
     assert list(two_separations(g)) == []
-    assert calls == Counter()
+    assert calls == Counter(walk=59)
+    calls.clear()
     g = circulant(60, (1,))  # the 60-cycle: every non-adjacent pair is a 2-cut
     assert len(list(two_separations(g))) == 60 * 59 // 2 - 60
-    assert calls == Counter()
+    assert calls == Counter(walk=59)
 
 
 def test_vertex_connectivity_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclemod.errors import InvalidArgument
+from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
     Graph,
     complete_bipartite,
@@ -87,6 +88,10 @@ def test_connectivity_and_components():
     assert is_connected(complete_graph(4), ignore=(0,))
 
 
+def _from_networkx(G):
+    return Graph(G.number_of_nodes(), G.edges())
+
+
 def test_girth_is_the_shortest_cycle_length():
     assert girth(Graph(4, [(0, 1), (1, 2), (1, 3)])) is None
     count = 0
@@ -95,6 +100,25 @@ def test_girth_is_the_shortest_cycle_length():
             assert girth(g) == min(cycle_length_set(g)), g
             count += 1
     assert count == 538
+    for n in range(8, 13):
+        for bipartite in (False, True):
+            for seed in range(2):
+                g = generate(GenSpec(n=n, min_degree=3, bipartite=bipartite, seed=seed))
+                assert girth(g) == min(cycle_length_set(g)), g
+
+
+def test_girth_scans_past_its_floor_when_no_cycle_meets_it():
+    # the scan stops early only at 3, or at 4 in a bipartite graph
+    assert girth(_from_networkx(nx.petersen_graph())) == 5
+    heawood = _from_networkx(nx.heawood_graph())
+    assert is_bipartite(heawood) is not None and girth(heawood) == 6
+    assert girth(Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)])) is None
+    # C4, a path, then the only triangle in the last component
+    four = [(i, (i + 1) % 4) for i in range(4)]
+    assert girth(Graph(9, four + [(4, 5), (6, 7), (7, 8), (6, 8)])) == 3
+    # bipartite: C6, then the only 4-cycle in the last component
+    six = [(i, (i + 1) % 6) for i in range(6)]
+    assert girth(Graph(10, six + [(6, 7), (7, 8), (8, 9), (6, 9)])) == 4
 
 
 def test_shortest_path_with_forbidden():

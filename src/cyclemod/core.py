@@ -15,10 +15,10 @@ handful of attachment paths into a full family stepping by 2.
 
 from __future__ import annotations
 
-from itertools import combinations
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceeded,
     HypothesisNotMet,
     InvalidArgument,
     InvalidWitness,
@@ -32,7 +32,8 @@ from .families import (
     make_path_family,
     validate_path_family,
 )
-from .graph import components, shortest_path
+from .graph import adj_masks, component_of, mask_bits, shortest_path
+from .oraclekern import default_budget
 
 
 @dataclass(frozen=True)
@@ -51,21 +52,6 @@ class Core:
         return set(self.s) | set(self.t)
 
 
-def _common_neighbors(g, s_set):
-    it = iter(s_set)
-    acc = set(g.adj[next(it)])
-    for v in it:
-        acc &= g.adj[v]
-    return acc
-
-
-def _y_component(g, h_verts, y):
-    for comp in components(g, ignore=h_verts):
-        if y in comp:
-            return tuple(comp)
-    raise InvariantViolated("y vanished from its own graph")
-
-
 def find_core(g, x, y):
     """Best core of (G, x, y) under: |S| max, then |T| max, then |C| max,
     then |N(C) & S| min; ties broken by lexicographically smallest S.
@@ -75,32 +61,60 @@ def find_core(g, x, y):
     caps C3/C4 hold automatically: a vertex adjacent to all of S would
     belong to T, and a vertex with l + 2 neighbors in T would extend S.
 
+    Every S containing x, avoiding y, with 2 <= |S| <= (n - 1) / 2 is
+    visited, by a depth-first walk that adds vertices in increasing order
+    and carries the common neighborhood of S as a bitmask.  The selection
+    key differs for every S, so the order of the walk cannot change the
+    winner.  The visited sets count against the default node budget, one
+    frame's children at a time, and BudgetExceeded is raised once the
+    count passes it.
+
     Precondition, not checked here: (G, x, y) is rooted 2-connected.  The
     path engine establishes it before it asks for a core.
     """
+    adj = adj_masks(g)
     others = [v for v in range(g.n) if v != x and v != y]
-    best = None
-    best_key = None
+    bits = [1 << v for v in others]
+    masks = [adj[v] for v in others]
+    last = len(others)
     max_size = (g.n - 1) // 2
-    for size in range(2, max_size + 1):
-        for extra in combinations(others, size - 1):
-            s_set = (x,) + extra
-            t_set = _common_neighbors(g, s_set) - set(s_set) - {y}
-            if len(t_set) < size:
-                continue
-            h_verts = set(s_set) | t_set
-            comp = _y_component(g, h_verts, y)
-            ncs = sum(1 for v in s_set if any(g.has_edge(v, c) for c in comp))
-            key = (size, len(t_set), len(comp), -ncs, tuple(-v for v in sorted(s_set)))
-            if best_key is None or key > best_key:
-                best_key = key
-                best = Core(
-                    s=tuple(sorted(s_set)),
-                    t=tuple(sorted(t_set)),
-                    x=x,
-                    y=y,
-                    component_c=comp,
-                )
+    budget = default_budget()
+    charged = 0
+    best_key = None
+    best = None
+
+    def consider(s_mask, t_mask, size):
+        # only the few S with |T| >= |S| get here
+        nonlocal best_key, best
+        s = mask_bits(s_mask)
+        comp = component_of(g, y, ignore=mask_bits(s_mask | t_mask))
+        ncs = sum(1 for v in s if g.adj[v] & comp)
+        key = (size, t_mask.bit_count(), len(comp), -ncs, tuple(-v for v in s))
+        if best_key is None or key > best_key:
+            best_key = key
+            best = Core(
+                s=tuple(s),
+                t=tuple(mask_bits(t_mask)),
+                x=x,
+                y=y,
+                component_c=tuple(sorted(comp)),
+            )
+
+    def walk(start, s_mask, common, size):
+        # the children of S are S + others[i] for i >= start, of `size`
+        nonlocal charged
+        charged += last - start
+        if charged > budget:
+            raise BudgetExceeded(f"core search exceeded {budget} subsets")
+        for i in range(start, last):
+            child = common & masks[i]
+            if child.bit_count() >= size:
+                consider(s_mask | bits[i], child, size)
+            if size < max_size:
+                walk(i + 1, s_mask | bits[i], child, size + 1)
+
+    if max_size >= 2:
+        walk(0, 1 << x, adj[x] & ~(1 << y), 2)
     if best is not None:
         ok, report = verify_core(g, best)
         if not ok:

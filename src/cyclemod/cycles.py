@@ -27,7 +27,7 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import _girth, contract_set, girth, induced, is_bipartite, is_connected
+from .graph import _coloring, _girth, contract_set, girth, induced, is_connected
 from .decompose import (
     cut_vertices,
     is_2_connected,
@@ -84,7 +84,11 @@ def oracle_cycles(g, k):
     odd lengths in a bipartite graph; any other length is decided by the
     first-found cycle search, and the cycle it finds is the family member.
     All searches of one call draw on one node budget."""
-    bipartite = is_bipartite(g) is not None
+    return _oracle_cycles(g, k, _coloring(g) is not None)
+
+
+def _oracle_cycles(g, k, bipartite):
+    """oracle_cycles(g, k), given whether g is bipartite."""
     shortest = _girth(g, bipartite)
     if shortest is None:
         return None
@@ -281,22 +285,22 @@ def _branch_ii(g, k, trace):
             fam = _long_witness(g, k, w.cycle, trace)
     if fam is not None:
         return fam
-    fam = _from_oracle(g, k, trace, "oracle-fallback")
+    fam = _from_oracle(g, k, False, trace, "oracle-fallback")
     trace.constructive_gap = True
     return fam
 
 
-def _from_oracle(g, k, trace, tag):
-    """oracle_cycles(g, k), recorded under `tag`."""
-    fam = oracle_cycles(g, k)
+def _from_oracle(g, k, bipartite, trace, tag):
+    """oracle_cycles(g, k), given whether g is bipartite, recorded under `tag`."""
+    fam = _oracle_cycles(g, k, bipartite)
     if fam is None:
         raise HypothesisNotMet(f"no family of {k} cycles exists at all")
     trace.record(tag)
     return fam
 
 
-def _any_cycle(g, trace):
-    c = find_cycle_with_length(g, girth(g))
+def _any_cycle(g, shortest, trace):
+    c = find_cycle_with_length(g, shortest)
     trace.record("single-cycle")
     return make_cycle_family([c], cls=FamilyClass(CONSECUTIVE))
 
@@ -594,7 +598,7 @@ def _classify(g):
     first = next(separations, None)
     if first is not None:
         return "I", chain((first,), separations)
-    return ("II" if is_bipartite(g) is None else "III"), iter(())
+    return ("II" if _coloring(g) is None else "III"), iter(())
 
 
 def find_k_cycles(g, k, trace=None):
@@ -613,14 +617,16 @@ def find_k_cycles(g, k, trace=None):
     branch, separations = _classify(g)
     trace.record(f"branch-{branch}")
     if k == 1:
-        fam = _any_cycle(g, trace)
+        # branches II and III have already 2-colored g
+        shortest = girth(g) if branch == "I" else _girth(g, branch == "III")
+        fam = _any_cycle(g, shortest, trace)
     elif branch == "I":
         fam = _branch_i(g, k, separations, trace)
     elif branch == "II":
         fam = _branch_ii(g, k, trace)
     else:
         # by design, not counted as a constructive gap
-        fam = _from_oracle(g, k, trace, BRANCH_BIPARTITE)
+        fam = _from_oracle(g, k, True, trace, BRANCH_BIPARTITE)
     if fam.k != k:
         raise InvalidWitness(f"expected {k} cycles, produced {fam.k}")
     return validate_cycle_family(g, fam), branch

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .decompose import is_2_connected, vertex_connectivity_at_least
 from .errors import GenerationInfeasible, InvalidArgument
-from .graph import Graph, is_bipartite
+from .graph import Graph, _coloring
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def satisfies(g, spec):
     """Does g meet every property requested by spec?"""
     if g.n != spec.n or g.min_degree() < spec.min_degree:
         return False
-    if spec.bipartite and is_bipartite(g) is None:
+    if spec.bipartite and _coloring(g) is None:
         return False
     if not is_2_connected(g):
         return False

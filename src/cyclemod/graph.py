@@ -140,6 +140,18 @@ def contract_set(g, s):
 
 def is_bipartite(g):
     """A proper 2-coloring as (side0, side1) sorted lists, or None."""
+    color = _coloring(g)
+    if color is None:
+        return None
+    return (
+        [v for v in range(g.n) if color[v] == 0],
+        [v for v in range(g.n) if color[v] == 1],
+    )
+
+
+def _coloring(g):
+    """A proper 2-coloring as a list of 0/1 colors by vertex, or None; the
+    callers that only ask whether g is bipartite test it against None."""
     color = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
@@ -154,10 +166,7 @@ def is_bipartite(g):
                     queue.append(v)
                 elif color[v] == color[u]:
                     return None
-    return (
-        sorted(v for v in range(g.n) if color[v] == 0),
-        sorted(v for v in range(g.n) if color[v] == 1),
-    )
+    return color
 
 
 def girth(g):
@@ -168,7 +177,7 @@ def girth(g):
     a root on a shortest cycle the smallest such walk is that cycle.  An
     edge seen from depth d closes a walk of length >= 2d, so each search
     stops at the first depth d with 2d >= the best walk so far."""
-    return _girth(g, is_bipartite(g) is not None)
+    return _girth(g, _coloring(g) is not None)
 
 
 def _girth(g, bipartite):
@@ -199,6 +208,22 @@ def _girth(g, bipartite):
             frontier = nxt
             depth += 1
     return best
+
+
+def adj_masks(g):
+    """Adjacency as int bitmasks: bit v of adj_masks(g)[u] is set exactly
+    when uv is an edge."""
+    return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
+
+
+def mask_bits(mask):
+    """The vertices of an int bitmask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_connected(g, ignore=()):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 
 from .errors import BudgetExceeded
+from .graph import adj_masks, mask_bits
 
 DEFAULT_BUDGET = 10**7
 
@@ -40,10 +41,6 @@ def default_budget():
 def using_numba():
     """Whether the kernels are JIT-compiled; they are plain Python."""
     return False
-
-
-def _adj_masks(g):
-    return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
 
 
 def _path_lengths_py(adj, x, y, budget):
@@ -117,35 +114,24 @@ def _cycle_lengths_py(adj, n, budget):
     return lengths, nodes, False
 
 
-def _mask_to_set(mask):
-    out = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def path_length_set(g, x, y, budget=None):
     """Exact set of lengths of simple (x, y)-paths in g."""
     if budget is None:
         budget = default_budget()
-    mask, _nodes, truncated = _path_lengths_py(_adj_masks(g), x, y, budget)
+    mask, _nodes, truncated = _path_lengths_py(adj_masks(g), x, y, budget)
     if truncated:
         raise BudgetExceeded(f"path enumeration exceeded {budget} nodes")
-    return _mask_to_set(mask)
+    return set(mask_bits(mask))
 
 
 def cycle_length_set(g, budget=None):
     """Exact set of cycle lengths of g (its cycle spectrum)."""
     if budget is None:
         budget = default_budget()
-    mask, _nodes, truncated = _cycle_lengths_py(_adj_masks(g), g.n, budget)
+    mask, _nodes, truncated = _cycle_lengths_py(adj_masks(g), g.n, budget)
     if truncated:
         raise BudgetExceeded(f"cycle enumeration exceeded {budget} nodes")
-    return _mask_to_set(mask)
+    return set(mask_bits(mask))
 
 
 # -- witness materialization (deterministic first-found DFS) ---------------

@@ -1,10 +1,16 @@
 """The complete-bipartite core subgraph and its ladder constructions."""
 
+import random
+from itertools import combinations
+from math import comb
+
 import pytest
 
-from cyclemod.errors import HypothesisNotMet
-from cyclemod.graph import Graph, complete_graph
+from cyclemod.errors import BudgetExceeded, HypothesisNotMet
+from cyclemod.generate import GenSpec, generate
+from cyclemod.graph import Graph, complete_graph, components, cycle_graph
 from cyclemod.core import (
+    Core,
     core_paths_big_l,
     core_paths_semilength,
     find_core,
@@ -12,6 +18,7 @@ from cyclemod.core import (
     verify_core,
 )
 from cyclemod.families import LENGTH, SEMI, path_len
+from cyclemod.paths import find_paths_length
 
 
 def petersen():
@@ -78,3 +85,78 @@ def test_core_paths_semilength():
     fam = core_paths_semilength(g, core, k)
     assert fam.cls.kind == SEMI and fam.cls.switch == k - 1
     assert fam.k == k
+
+
+# -- the bitmask walk against the subset loop it replaced ---------------------
+
+
+def _find_core_by_combinations(g, x, y):
+    """find_core as a loop over itertools.combinations, one frozenset
+    intersection chain per subset; the reference for the bitmask walk."""
+    others = [v for v in range(g.n) if v != x and v != y]
+    best = None
+    best_key = None
+    for size in range(2, (g.n - 1) // 2 + 1):
+        for extra in combinations(others, size - 1):
+            s_set = (x,) + extra
+            common = set(g.adj[x])
+            for v in extra:
+                common &= g.adj[v]
+            t_set = common - set(s_set) - {y}
+            if len(t_set) < size:
+                continue
+            h_verts = set(s_set) | t_set
+            comp = next(tuple(c) for c in components(g, ignore=h_verts) if y in c)
+            ncs = sum(1 for v in s_set if any(g.has_edge(v, c) for c in comp))
+            key = (size, len(t_set), len(comp), -ncs, tuple(-v for v in sorted(s_set)))
+            if best_key is None or key > best_key:
+                best_key = key
+                best = Core(s=tuple(sorted(s_set)), t=tuple(sorted(t_set)), x=x, y=y,
+                            component_c=comp)
+    return best
+
+
+def _differential_graphs():
+    for n, bipartite in ((8, False), (8, True), (10, False), (10, True), (12, False),
+                         (12, True), (14, False)):
+        yield generate(GenSpec(n=n, min_degree=3, bipartite=bipartite, seed=n))
+    rng = random.Random(5)
+    for n in (6, 7, 8, 9, 10, 11):
+        for p in (0.25, 0.5):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            yield Graph(n, edges)
+
+
+def test_find_core_matches_the_subset_loop_on_every_root_pair():
+    seen_none = seen_core = 0
+    for g in _differential_graphs():
+        for x in range(g.n):
+            for y in range(g.n):
+                if x == y:
+                    continue
+                want = _find_core_by_combinations(g, x, y)
+                assert find_core(g, x, y) == want, (g.edges(), x, y)
+                seen_none += want is None
+                seen_core += want is not None
+    # both sides of "G - y has a 4-cycle through x" are exercised
+    assert seen_none > 0 and seen_core > 0
+
+
+def test_find_core_is_budgeted(monkeypatch):
+    monkeypatch.setenv("CYCLEMOD_BUDGET", "3")
+    with pytest.raises(BudgetExceeded):
+        find_paths_length(complete_graph(6), 0, 1, 2)
+
+
+def test_find_core_charges_every_enumerated_subset(monkeypatch):
+    # S = {x} plus 1 .. (n - 1) // 2 - 1 of the other n - 2 vertices; the
+    # walk cuts no subtree, so the count is the same on every graph
+    n = 24
+    subsets = sum(comb(n - 2, j) for j in range(1, (n - 1) // 2))
+    assert subsets == 1_744_435
+    g = cycle_graph(n)
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(subsets))
+    assert find_core(g, 0, 1) is None
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(subsets - 1))
+    with pytest.raises(BudgetExceeded):
+        find_core(g, 0, 1)

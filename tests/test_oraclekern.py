@@ -7,10 +7,9 @@ from cyclemod import certify
 from cyclemod.cycles import find_k_cycles
 from cyclemod.errors import BudgetExceeded
 from cyclemod.generate import GenSpec, generate
-from cyclemod.graph import complete_graph
+from cyclemod.graph import adj_masks, complete_graph
 from cyclemod.oraclekern import (
     DEFAULT_BUDGET,
-    _adj_masks,
     _cycle_lengths_py,
     cycle_length_set,
 )
@@ -54,7 +53,7 @@ def _cycle_lengths_dfs(adj, n, budget):
 
 
 def assert_same_spectrum(g):
-    adj = _adj_masks(g)
+    adj = adj_masks(g)
     want, _nodes, truncated = _cycle_lengths_dfs(adj, g.n, DEFAULT_BUDGET)
     assert not truncated
     got, _nodes, truncated = _cycle_lengths_py(adj, g.n, DEFAULT_BUDGET)
@@ -82,7 +81,7 @@ def test_nodes_count_expansions_and_relaxations():
     # 2-sets with 2 relaxations each (9), the three 3-sets at two ends with
     # 1 relaxation each (12) and the 4-set at three ends (3); roots 1, 2
     # and 3 add 9, 3 and 1
-    adj = _adj_masks(complete_graph(4))
+    adj = adj_masks(complete_graph(4))
     assert _cycle_lengths_py(adj, 4, 41) == (0b11000, 41, False)
     assert _cycle_lengths_py(adj, 4, 40)[1:] == (41, True)
 

@@ -13,8 +13,6 @@ from contextlib import contextmanager
 
 import click
 
-from . import certify
-from .cycles import branch_of, find_k_cycles, oracle_cycles, residue_map
 from .errors import (
     BudgetExceeded,
     CyclemodError,
@@ -22,10 +20,11 @@ from .errors import (
     HypothesisNotMet,
     InvalidArgument,
 )
-from .generate import GenSpec, generate
 from .graph import format_graph, parse_graph
-from .paths import ExtractionTrace, find_paths_flex, find_paths_length, oracle_paths
-from .smallgraphs import two_connected_graphs
+
+# Each command imports what it runs, so a process loads (and, without
+# cached bytecode, compiles) only that: `verify` loads certify, families
+# and graph, and `paths` never loads cycles.
 
 EXIT_PARSE = 1
 EXIT_HYPOTHESIS = 2
@@ -51,6 +50,8 @@ def _emit(g, command, k, trace, extract):
     """Run extract() -> (family, certificate fields), with None for "the
     oracle found no family"; map its errors to exit codes, print the
     certificate, and exit 3 on a constructive gap."""
+    from . import certify
+
     try:
         fam, fields = extract()
     except HypothesisNotMet as exc:
@@ -113,6 +114,8 @@ def main():
 def paths_cmd(graph_file, x, y, k, mode, oracle):
     """k (x, y)-paths satisfying the length (or, with --mode flex, length
     or semi-length) condition; prints a certificate."""
+    from .paths import ExtractionTrace, find_paths_flex, find_paths_length, oracle_paths
+
     g = _load_graph(graph_file)
     if not (0 <= x < g.n and 0 <= y < g.n) or x == y or k < 1:
         click.echo("bad x/y/k arguments", err=True)
@@ -140,6 +143,9 @@ def paths_cmd(graph_file, x, y, k, mode, oracle):
 def cycles_cmd(graph_file, k, with_mod, oracle):
     """k cycles of consecutive lengths or satisfying the length condition;
     prints a certificate."""
+    from .cycles import branch_of, find_k_cycles, oracle_cycles, residue_map
+    from .paths import ExtractionTrace
+
     g = _load_graph(graph_file)
     if k < 1:
         click.echo("bad k", err=True)
@@ -167,6 +173,8 @@ def cycles_cmd(graph_file, k, with_mod, oracle):
 @click.option("--cert", "cert_file", required=True, type=click.Path())
 def verify_cmd(cert_file):
     """Independently re-check a certificate."""
+    from . import certify
+
     try:
         with open(cert_file) as fh:
             cert = certify.from_json(fh.read())
@@ -192,6 +200,8 @@ def verify_cmd(cert_file):
 @click.option("--seed", type=int, default=0)
 def gen_cmd(n, mindeg, conn, bipartite, seed):
     """Generate a random graph with the requested properties."""
+    from .generate import GenSpec, generate
+
     try:
         spec = GenSpec(n=n, min_degree=mindeg, connectivity=int(conn),
                        bipartite=bipartite, seed=seed)
@@ -213,6 +223,11 @@ def gen_cmd(n, mindeg, conn, bipartite, seed):
 def sweep_cmd(nmax, kmax, exhaustive, samples):
     """Run the cycle extractor across many instances and report pass/fail
     and constructive-gap counts per (n, k, branch)."""
+    from .cycles import branch_of, find_k_cycles
+    from .generate import GenSpec, generate
+    from .paths import ExtractionTrace
+    from .smallgraphs import two_connected_graphs
+
     if exhaustive == (samples is not None):
         click.echo("choose exactly one of --exhaustive / --samples", err=True)
         sys.exit(EXIT_PARSE)

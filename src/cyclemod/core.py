@@ -32,7 +32,7 @@ from .families import (
     make_path_family,
     validate_path_family,
 )
-from .graph import adj_masks, component_of, mask_bits, shortest_path
+from .graph import adj_masks, mask_bits, shortest_path
 from .oraclekern import default_budget
 
 
@@ -65,9 +65,11 @@ def find_core(g, x, y):
     visited, by a depth-first walk that adds vertices in increasing order
     and carries the common neighborhood of S as a bitmask.  The selection
     key differs for every S, so the order of the walk cannot change the
-    winner.  The visited sets count against the default node budget, one
-    frame's children at a time, and BudgetExceeded is raised once the
-    count passes it.
+    winner.  Only an S with |T| >= |S| whose (|S|, |T|) is not below the
+    best key so far pays for the rest of its key: the component of y is
+    flooded on the same bitmasks.  The visited sets count against the
+    default node budget, one frame's children at a time, and
+    BudgetExceeded is raised once the count passes it.
 
     Precondition, not checked here: (G, x, y) is rooted 2-connected.  The
     path engine establishes it before it asks for a core.
@@ -84,12 +86,23 @@ def find_core(g, x, y):
     best = None
 
     def consider(s_mask, t_mask, size):
-        # only the few S with |T| >= |S| get here
+        # only the few S with |T| >= |S| get here, and only those whose
+        # (|S|, |T|) can still match the best key pay for the component
         nonlocal best_key, best
+        t_size = t_mask.bit_count()
+        if best_key is not None and (size, t_size) < best_key[:2]:
+            return
+        h_mask = s_mask | t_mask
+        comp = frontier = 1 << y
+        while frontier:
+            reach = 0
+            for v in mask_bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~(h_mask | comp)
+            comp |= frontier
         s = mask_bits(s_mask)
-        comp = component_of(g, y, ignore=mask_bits(s_mask | t_mask))
-        ncs = sum(1 for v in s if g.adj[v] & comp)
-        key = (size, t_mask.bit_count(), len(comp), -ncs, tuple(-v for v in s))
+        ncs = sum(1 for v in s if adj[v] & comp)
+        key = (size, t_size, comp.bit_count(), -ncs, tuple(-v for v in s))
         if best_key is None or key > best_key:
             best_key = key
             best = Core(
@@ -97,7 +110,7 @@ def find_core(g, x, y):
                 t=tuple(mask_bits(t_mask)),
                 x=x,
                 y=y,
-                component_c=tuple(sorted(comp)),
+                component_c=tuple(mask_bits(comp)),
             )
 
     def walk(start, s_mask, common, size):

@@ -23,11 +23,21 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import (
+    BudgetExceeded,
     HypothesisNotMet,
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import _coloring, _girth, contract_set, girth, induced, is_connected
+from .graph import (
+    _coloring,
+    _girth,
+    adj_masks,
+    contract_set,
+    girth,
+    induced,
+    is_connected,
+    mask_bits,
+)
 from .decompose import (
     cut_vertices,
     is_2_connected,
@@ -206,17 +216,59 @@ def find_nonsep_induced_odd_cycle(g):
 
     A usable witness exists whenever G is 3-connected, non-bipartite and
     delta(G) >= 4.
+
+    Only induced cycles are tested.  For each odd length, and each
+    smallest vertex s in increasing order, a chordless-path DFS from s
+    through the vertices above it collects the induced cycles of that
+    length; they are tested in lexicographic order before the next s.
+    Every extension counts against the default node budget, one DFS
+    frame at a time, and BudgetExceeded is raised once the count passes it.
     """
+    adj = adj_masks(g)
+    budget = default_budget()
+    charged = 0
+
+    def charge(cand):
+        nonlocal charged
+        charged += cand.bit_count()
+        if charged > budget:
+            raise BudgetExceeded(f"odd-cycle witness search exceeded {budget} nodes")
+
+    def cycles_at(s, length):
+        # vertex sets of the induced cycles s, p1, ..., p_last of `length`
+        # vertices above s, with p1 < p_last; `ban` holds s and the vertices
+        # below it, the path, and the neighbors of its interior past p1
+        found = []
+
+        def extend(path, ban):
+            end = path[-1]
+            closing = len(path) == length - 1
+            if closing:
+                cand = adj[end] & adj[s] & ~ban & ~((2 << path[1]) - 1)
+            else:
+                cand = adj[end] & ~adj[s] & ~ban
+            charge(cand)
+            for v in mask_bits(cand):
+                if closing:
+                    found.append(tuple(sorted(path + [v])))
+                else:
+                    extend(path + [v], ban | (1 << v) | adj[end])
+
+        low = (2 << s) - 1
+        first = adj[s] & ~low
+        charge(first)
+        for p1 in mask_bits(first):
+            extend([s, p1], low | (1 << p1))
+        return sorted(found)
+
     for length in range(3, g.n + 1, 2):
-        for verts in combinations(range(g.n), length):
-            order = _cyclic_order(g, verts)
-            if order is None:
-                continue
-            kind = WITNESS_TRIANGLE if length == 3 else WITNESS_TWO_NEIGHBOR
-            w = OddCycleWitness(order, kind)
-            ok, _reason = check_witness(g, w)
-            if ok:
-                return w
+        kind = WITNESS_TRIANGLE if length == 3 else WITNESS_TWO_NEIGHBOR
+        for s in range(g.n - length + 1):
+            for verts in cycles_at(s, length):
+                w = OddCycleWitness(_cyclic_order(g, verts), kind)
+                ok, _reason = check_witness(g, w)
+                if ok:
+                    return w
     return None
 
 

@@ -88,7 +88,7 @@ def class_holds(lengths, cls):
 
 def path_ok(g, seq):
     """seq is a simple path in g (>= 1 vertex)."""
-    if len(seq) != len(set(seq)):
+    if not seq or len(seq) != len(set(seq)):
         return False
     if not all(0 <= v < g.n for v in seq):
         return False

@@ -1,6 +1,7 @@
 """Certificate emission, canonical serialization, independent verification."""
 
 import copy
+import time
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,28 @@ def test_json_booleans_are_not_integers():
         assert certify.verify(_bools_to_ints(cert)) == (True, None), tag
         ok, _reason = certify.verify(cert)
         assert not ok, tag
+
+
+def test_verify_cost_follows_the_certificate_not_its_declared_n():
+    # a 3-edge certificate that declares two million vertices: building a
+    # graph on n vertices took seconds and most of a gigabyte
+    cert = {"version": "0.1.0", "command": "cycles", "k": 1,
+            "graph": {"n": 2_000_000, "edges": [[0, 1], [0, 2], [1, 2]]},
+            "class": {"kind": "consecutive", "switch": None}, "family": [[0, 1, 2]]}
+    start = time.perf_counter()
+    assert certify.verify(cert) == (True, None)
+    cert["family"] = [[0, 1, 1_999_999]]
+    ok, reason = certify.verify(cert)
+    assert not ok and "not a cycle" in reason
+    assert time.perf_counter() - start < 1.0
+
+
+def test_empty_path_member_fails_cleanly():
+    cert = certify.make_certificate(complete_graph(5), "paths", 2,
+                                    find_paths_length(complete_graph(5), 0, 1, 2), x=0, y=1)
+    cert["family"][0] = []
+    ok, reason = certify.verify(cert)
+    assert not ok and "not a path" in reason
 
 
 @given(st.integers(0, 2**32 - 1))

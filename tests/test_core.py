@@ -8,7 +8,7 @@ import pytest
 
 from cyclemod.errors import BudgetExceeded, HypothesisNotMet
 from cyclemod.generate import GenSpec, generate
-from cyclemod.graph import Graph, complete_graph, components, cycle_graph
+from cyclemod.graph import Graph, complete_bipartite, complete_graph, components, cycle_graph
 from cyclemod.core import (
     Core,
     core_paths_big_l,
@@ -125,6 +125,12 @@ def _differential_graphs():
         for p in (0.25, 0.5):
             edges = [e for e in combinations(range(n), 2) if rng.random() < p]
             yield Graph(n, edges)
+    # many S share (|S|, |T|), so |C|, |N(C) & S| and S itself pick the
+    # core; on each of the two bipartite graphs all three decide some pair
+    yield Graph(9, complete_bipartite(4, 4).edges() + [(0, 8), (3, 8), (5, 6), (6, 8)])
+    yield Graph(11, complete_bipartite(5, 5).edges() + [(4, 10), (5, 10), (9, 10)])
+    yield complete_graph(7)
+    yield Graph(13, sorted({tuple(sorted((i, (i + s) % 13))) for i in range(13) for s in (1, 4)}))
 
 
 def test_find_core_matches_the_subset_loop_on_every_root_pair():

@@ -1,5 +1,7 @@
 """Cycle-family extraction: witness finding, branch dispatch, residues."""
 
+from itertools import combinations
+
 import pytest
 
 from cyclemod import certify, cycles, decompose
@@ -14,6 +16,7 @@ from cyclemod.graph import (
 from cyclemod.cycles import (
     OddCycleWitness,
     _cross_block_paths,
+    _cyclic_order,
     _long_witness,
     all_residues_mod_k,
     branch_of,
@@ -40,7 +43,7 @@ from cyclemod.oraclekern import (
 )
 from cyclemod.decompose import two_separations
 from cyclemod.paths import ExtractionTrace
-from cyclemod.smallgraphs import connected_graphs
+from cyclemod.smallgraphs import connected_graphs, two_connected_graphs
 
 
 def petersen():
@@ -63,9 +66,9 @@ def two_k4_glued_on_edge():
     return Graph(6, e1 + e2)
 
 
-def circulant_13_1_5():
-    return Graph(13, [(min(i, (i + s) % 13), max(i, (i + s) % 13))
-                      for i in range(13) for s in (1, 5)])
+def circulant(n, steps):
+    """C_n(steps): vertex i is adjacent to i +- s (mod n) for each s in steps."""
+    return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
 
 
 def test_split_parity():
@@ -196,9 +199,74 @@ def test_witness_absent_on_bipartite():
 def test_witness_long_cycles():
     w = find_nonsep_induced_odd_cycle(petersen())
     assert len(w.cycle) == 5
-    w = find_nonsep_induced_odd_cycle(circulant_13_1_5())
+    w = find_nonsep_induced_odd_cycle(circulant(13, (1, 5)))
     assert len(w.cycle) == 5
-    assert check_witness(circulant_13_1_5(), w) == (True, None)
+    assert check_witness(circulant(13, (1, 5)), w) == (True, None)
+
+
+def _witness_by_combinations(g):
+    """find_nonsep_induced_odd_cycle as a loop over every vertex set of each
+    odd size in lexicographic order; the reference for the chordless-path
+    search."""
+    for length in range(3, g.n + 1, 2):
+        for verts in combinations(range(g.n), length):
+            order = _cyclic_order(g, verts)
+            if order is None:
+                continue
+            kind = "triangle" if length == 3 else "two-neighbor"
+            w = OddCycleWitness(order, kind)
+            if check_witness(g, w)[0]:
+                return w
+    return None
+
+
+def test_witness_matches_the_subset_loop_on_the_atlas():
+    found = 0
+    for n in range(3, 8):
+        for g in two_connected_graphs(n):
+            want = _witness_by_combinations(g)
+            assert find_nonsep_induced_odd_cycle(g) == want, g.edges()
+            found += want is not None
+    # bipartite atlas graphs have none, the others mostly a triangle
+    assert 0 < found < 538
+
+
+def test_witness_matches_the_subset_loop_on_generated_graphs():
+    for n in range(8, 17):
+        for d in (3, 4):
+            g = generate(GenSpec(n=n, min_degree=d, connectivity=3, seed=n))
+            assert find_nonsep_induced_odd_cycle(g) == _witness_by_combinations(g), g.edges()
+
+
+@pytest.mark.parametrize("steps", [(1, 3), (1, 4)])
+def test_witness_matches_the_subset_loop_on_circulants(steps):
+    # C_n(1, 3) with odd n is triangle-free, its shortest odd cycle has
+    # about n / 3 vertices
+    for n in range(9, 24, 2):
+        g = circulant(n, steps)
+        want = _witness_by_combinations(g)
+        assert want is not None
+        assert find_nonsep_induced_odd_cycle(g) == want, n
+
+
+def test_witness_search_is_budgeted(monkeypatch):
+    g = petersen()  # triangle-free: the search passes every length-3 frame
+    assert len(find_nonsep_induced_odd_cycle(g).cycle) == 5
+    monkeypatch.setenv("CYCLEMOD_BUDGET", "20")
+    with pytest.raises(BudgetExceeded):
+        find_nonsep_induced_odd_cycle(g)
+
+
+def test_k_cycles_on_a_circulant_with_a_long_shortest_odd_cycle():
+    # the shortest odd cycle of C_35(1, 3) has 13 vertices, out of reach of
+    # a search over every vertex set
+    g = circulant(35, (1, 3))
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(g, 3, trace=trace)
+    assert branch == "II" and fam.k == 3 and not trace.constructive_gap
+    validate_cycle_family(g, fam)
+    cert = certify.make_certificate(g, "cycles", 3, fam, branch=branch, trace=trace)
+    assert certify.verify(cert) == (True, None)
 
 
 def test_check_witness_rejections():
@@ -266,7 +334,7 @@ def test_branch_ii_examples():
 
 def test_branch_ii_long_witness_constructive():
     trace = ExtractionTrace()
-    fam, branch = find_k_cycles(circulant_13_1_5(), 3, trace=trace)
+    fam, branch = find_k_cycles(circulant(13, (1, 5)), 3, trace=trace)
     assert branch == "II" and fam.k == 3 and not trace.constructive_gap
     assert trace.branches[-1] == "antipode-x-fan"  # the 5-cycle witness fans
 

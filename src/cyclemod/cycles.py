@@ -39,6 +39,7 @@ from .graph import (
     mask_bits,
 )
 from .decompose import (
+    _contracts_to_k4,
     cut_vertices,
     is_2_connected,
     leaf_blocks,
@@ -221,8 +222,10 @@ def find_nonsep_induced_odd_cycle(g):
     smallest vertex s in increasing order, a chordless-path DFS from s
     through the vertices above it collects the induced cycles of that
     length; they are tested in lexicographic order before the next s.
-    Every extension counts against the default node budget, one DFS
-    frame at a time, and BudgetExceeded is raised once the count passes it.
+    The DFS keeps only vertices close enough to s, in G[{s} | {v > s}], to
+    close the cycle in the steps left.  Every extension counts against the
+    default node budget, one DFS frame at a time, and BudgetExceeded is
+    raised once the count passes it.
     """
     adj = adj_masks(g)
     budget = default_budget()
@@ -239,6 +242,16 @@ def find_nonsep_induced_odd_cycle(g):
         # vertices above s, with p1 < p_last; `ban` holds s and the vertices
         # below it, the path, and the neighbors of its interior past p1
         found = []
+        low = (2 << s) - 1
+        # reach[d]: the vertices within distance d of s in G[{s} | {v > s}]
+        reach = [1 << s]
+        ring = 1 << s
+        for _ in range(length - 2):
+            nxt = 0
+            for v in mask_bits(ring):
+                nxt |= adj[v]
+            ring = nxt & ~low & ~reach[-1]
+            reach.append(reach[-1] | ring)
 
         def extend(path, ban):
             end = path[-1]
@@ -246,7 +259,8 @@ def find_nonsep_induced_odd_cycle(g):
             if closing:
                 cand = adj[end] & adj[s] & ~ban & ~((2 << path[1]) - 1)
             else:
-                cand = adj[end] & ~adj[s] & ~ban
+                # the new vertex is length - len(path) edges from closing at s
+                cand = adj[end] & ~adj[s] & ~ban & reach[length - len(path)]
             charge(cand)
             for v in mask_bits(cand):
                 if closing:
@@ -254,7 +268,6 @@ def find_nonsep_induced_odd_cycle(g):
                 else:
                     extend(path + [v], ban | (1 << v) | adj[end])
 
-        low = (2 << s) - 1
         first = adj[s] & ~low
         charge(first)
         for p1 in mask_bits(first):
@@ -643,13 +656,17 @@ def _classify(g):
     found the first one; otherwise no separations.
 
     On n >= 4 vertices g is 3-connected exactly when it has no
-    2-separation (see vertex_connectivity_at_least)."""
+    2-separation.  _contracts_to_k4 proves that for most 3-connected graphs
+    with no scan, by the lemma that G is 3-connected when G/xy is and
+    deg(x), deg(y) >= 3 (its docstring has the proof); the scan decides
+    every graph it leaves undecided."""
     if g.n < 4:
         return "I", iter(())
-    separations = two_separations(g)
-    first = next(separations, None)
-    if first is not None:
-        return "I", chain((first,), separations)
+    if not _contracts_to_k4(g):
+        separations = two_separations(g)
+        first = next(separations, None)
+        if first is not None:
+            return "I", chain((first,), separations)
     return ("II" if _coloring(g) is None else "III"), iter(())
 
 
@@ -662,11 +679,12 @@ def find_k_cycles(g, k, trace=None):
         trace = ExtractionTrace()
     if k < 1:
         raise InvalidArgument("k must be positive")
-    if not is_2_connected(g):
+    branch, separations = _classify(g)
+    # branches II and III are 3-connected, hence 2-connected
+    if branch == "I" and not is_2_connected(g):
         raise HypothesisNotMet("need a 2-connected graph")
     if g.min_degree() < k + 1:
         raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
-    branch, separations = _classify(g)
     trace.record(f"branch-{branch}")
     if k == 1:
         # branches II and III have already 2-colored g

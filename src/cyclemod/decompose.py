@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, InvalidArgument
-from .graph import component_of, is_connected
+from .graph import adj_masks, component_of, is_connected, mask_bits
 
 
 @dataclass(frozen=True)
@@ -208,19 +208,87 @@ def two_separations(g):
             yield Separation2(a=tuple(sorted(a_side)), b=tuple(sorted(b_side)), cut=(u, v))
 
 
+def _contracts_to_k4(g):
+    """True when contracting edges of G, both ends of degree >= 3 each
+    time, reaches a graph H with 2 * delta(H) > |H| (K4 at the latest):
+    then G is 3-connected.  False means undecided, never "not 3-connected".
+
+    Contraction lemma: let n >= 5, deg(x), deg(y) >= 3 and G/xy
+    3-connected; then G is 3-connected.  Let S, |S| <= 2, separate G.  If
+    S avoids {x, y}, the edge xy lies in one component of G - S, so S
+    separates G/xy.  If S = {x, y}, then G - S is G/xy less the merged
+    vertex z.  If S holds x but not y (or the reverse), {z} | (S - {x})
+    separates G/xy unless the component of y in G - S is {y} alone, and
+    then deg(y) <= 2.  Each case is a contradiction.
+
+    Dense stop: H on >= 4 vertices with 2 * delta(H) > |H| is 3-connected.
+    For |S| <= 2 and non-adjacent u, v outside S, N(u) - S and N(v) - S
+    have >= delta - |S| vertices each among the |H| - |S| - 2 left, so
+    they meet.  Induction over the contractions then proves G 3-connected.
+
+    Every 3-connected graph on >= 5 vertices has an edge whose contraction
+    stays 3-connected (Thomassen 1980).  The greedy choice here can miss
+    it (on some cubic graphs): contract the smallest vertex x of minimum
+    degree into the neighbour y that shares the fewest neighbours with it,
+    then has the lowest degree, then the smallest id.  Degrees sit in
+    bitmask buckets, so a step costs O(deg x) mask operations.
+    """
+    n = g.n
+    if n < 4:
+        return False
+    adj = adj_masks(g)
+    deg = [len(s) for s in g.adj]
+    buckets = [0] * n  # degree -> bitmask of the vertices left with it
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
+    d = min(deg)
+    for order in range(n, 3, -1):
+        # a step lowers a degree by at most 1, so the minimum is >= d - 1
+        d = max(d - 1, 0)
+        while not buckets[d]:
+            d += 1
+        if 2 * d > order:
+            return True
+        if d < 3:
+            return False
+        x_bit = buckets[d] & -buckets[d]
+        x = x_bit.bit_length() - 1
+        near = adj[x]
+        y = best = None
+        for w in mask_bits(near):
+            key = ((adj[w] & near).bit_count(), deg[w])
+            if best is None or key < best:
+                y, best = w, key
+        y_bit = 1 << y
+        buckets[d] ^= x_bit
+        for w in mask_bits(near & adj[y]):  # lose x, already next to y
+            adj[w] ^= x_bit
+            buckets[deg[w]] ^= 1 << w
+            deg[w] -= 1
+            buckets[deg[w]] |= 1 << w
+        for w in mask_bits(near & ~adj[y] & ~y_bit):  # x becomes y
+            adj[w] ^= x_bit | y_bit
+        adj[y] = (adj[y] | near) & ~(x_bit | y_bit)
+        buckets[deg[y]] ^= y_bit
+        deg[y] = adj[y].bit_count()
+        buckets[deg[y]] |= y_bit
+    return False
+
+
 def vertex_connectivity_at_least(g, t):
     """Decide kappa(G) >= t for t in {2, 3}.
 
-    For t = 3 the 2-separation scan alone decides: on n >= 4 vertices a
-    graph with a cut vertex, or a disconnected one, also has a separating
-    pair."""
+    For t = 3, _contracts_to_k4 proves most 3-connected graphs 3-connected
+    with no scan (its docstring has the proof); the 2-separation scan
+    decides the rest: on n >= 4 vertices a graph with a cut vertex, or a
+    disconnected one, also has a separating pair."""
     if t not in (2, 3):
         raise InvalidArgument("t must be 2 or 3")
     if g.n < t + 1:
         raise InvalidArgument(f"graph too small to ask about {t}-connectivity")
     if t == 2:
         return is_2_connected(g)
-    return next(two_separations(g), None) is None
+    return _contracts_to_k4(g) or next(two_separations(g), None) is None
 
 
 def find_2_separation(g):

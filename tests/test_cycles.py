@@ -66,6 +66,13 @@ def two_k4_glued_on_edge():
     return Graph(6, e1 + e2)
 
 
+def cubic_undecided():
+    """A 3-connected cubic graph on 8 vertices with two triangles, which
+    decompose._contracts_to_k4 leaves undecided."""
+    return Graph(8, [(0, 1), (0, 5), (0, 7), (1, 2), (1, 4), (2, 3), (2, 7), (3, 6), (3, 7),
+                     (4, 5), (4, 6), (5, 6)])
+
+
 def circulant(n, steps):
     """C_n(steps): vertex i is adjacent to i +- s (mod n) for each s in steps."""
     return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
@@ -269,6 +276,19 @@ def test_k_cycles_on_a_circulant_with_a_long_shortest_odd_cycle():
     assert certify.verify(cert) == (True, None)
 
 
+def test_witness_on_a_circulant_with_a_21_vertex_shortest_odd_cycle():
+    # C_61(1, 3): the distance prune drops every chordless path that can no
+    # longer close back at s, and the witness is the one the search found
+    # without it
+    g = circulant(61, (1, 3))
+    w = find_nonsep_induced_odd_cycle(g)
+    assert w.cycle == (0, 1) + tuple(range(4, 59, 3)) and w.kind == "two-neighbor"
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(g, 3, trace=trace)
+    assert branch == "II" and fam.k == 3 and not trace.constructive_gap
+    validate_cycle_family(g, fam)
+
+
 def test_check_witness_rejections():
     g = complete_graph(5)
     ok, reason = check_witness(g, OddCycleWitness((0, 1, 2, 3), "triangle"))
@@ -312,6 +332,35 @@ def test_branch_i_resumes_the_classifying_scan(monkeypatch):
     fam, branch = find_k_cycles(two_k4_glued_on_edge(), 2)
     assert branch == "I" and sorted(fam.lengths()) == [4, 6]
     assert len(scans) == 1
+
+
+@pytest.mark.parametrize("g, k, branch, certified", [
+    (complete_graph(5), 3, "II", True),
+    (circulant(13, (1, 5)), 3, "II", True),
+    (complete_bipartite(4, 4), 3, "III", True),
+    (cubic_undecided(), 2, "II", False),
+    (two_k4_glued_on_edge(), 2, "I", False),
+])
+def test_the_dispatch_scans_only_what_the_certificate_leaves_undecided(
+        monkeypatch, g, k, branch, certified):
+    # a certified request runs no 2-separation scan and no 2-connectivity
+    # walk of its own; an undecided one runs the scan once, and only branch I
+    # checks 2-connectivity
+    scans, walks = [], []
+
+    def counted(h):
+        scans.append(h)
+        return two_separations(h)
+
+    monkeypatch.setattr(decompose, "two_separations", counted)
+    monkeypatch.setattr(cycles, "two_separations", counted)
+    monkeypatch.setattr(cycles, "is_2_connected",
+                        lambda h: walks.append(h) or decompose.is_2_connected(h))
+    assert decompose._contracts_to_k4(g) == certified
+    fam, got = find_k_cycles(g, k)
+    assert got == branch and fam.k == k
+    assert len(scans) == (0 if certified else 1)
+    assert len(walks) == (branch == "I")
 
 
 def test_branch_i_k1_cycle():

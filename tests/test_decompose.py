@@ -10,7 +10,14 @@ from hypothesis import given, strategies as st
 
 from cyclemod import decompose, graph
 from cyclemod.errors import Disconnected
-from cyclemod.graph import Graph, complete_graph, components, cycle_graph, is_connected
+from cyclemod.graph import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    components,
+    cycle_graph,
+    is_connected,
+)
 from cyclemod.decompose import (
     Separation2,
     block_cut_tree,
@@ -137,11 +144,16 @@ def _atlas():
 
 
 def test_two_separations_match_the_pair_scan_on_the_atlas():
-    checked = 0
+    checked = certified = 0
     for _G, g in _atlas():
-        assert list(two_separations(g)) == list(pair_scan_two_separations(g)), g.edges()
+        seps = list(two_separations(g))
+        assert seps == list(pair_scan_two_separations(g)), g.edges()
+        if decompose._contracts_to_k4(g):
+            assert seps == [] and g.n >= 4, g.edges()
+            certified += 1
         checked += 1
     assert checked == 1253  # every atlas graph, disconnected ones included
+    assert certified == 157  # every 3-connected one
 
 
 def _random_graph(rng):
@@ -160,6 +172,11 @@ def test_two_separations_match_the_pair_scan_on_random_graphs():
         g = _random_graph(rng)
         seps = list(two_separations(g))
         assert seps == list(pair_scan_two_separations(g)), g.edges()
+        if decompose._contracts_to_k4(g):
+            assert seps == [] and g.n >= 4, g.edges()
+            kinds["certified"] += 1
+        if g.n >= 4 and not seps:
+            kinds["3-connected, n >= 4"] += 1
         if not is_connected(g):
             kinds["disconnected"] += 1
         elif not is_2_connected(g):
@@ -167,6 +184,8 @@ def test_two_separations_match_the_pair_scan_on_random_graphs():
         else:
             kinds["2-cut" if seps else "3-connected"] += 1
     assert min(kinds[k] for k in ("disconnected", "cut vertex", "2-cut", "3-connected")) >= 350, kinds
+    # the contraction certificate proves every 3-connected one (1,369)
+    assert kinds["certified"] == kinds["3-connected, n >= 4"], kinds
 
 
 def test_cut_predicates_match_networkx_on_the_atlas():
@@ -181,6 +200,44 @@ def test_cut_predicates_match_networkx_on_the_atlas():
 
 def circulant(n, steps):
     return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): the n-cycle 0..n-1, spokes i -- n + i, and inner edges
+    n + i -- n + (i + k) mod n."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    return Graph(2 * n, edges + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def structured_graphs():
+    for n in range(3, 25):
+        rim = [(i, (i + 1) % n) for i in range(n)]
+        yield f"W_{n}", Graph(n + 1, rim + [(i, n) for i in range(n)])
+        yield f"prism_{n}", Graph(2 * n, rim + [(n + u, n + v) for u, v in rim]
+                                  + [(i, n + i) for i in range(n)])
+        yield f"Mobius_{n}", circulant(2 * n, (1, n))
+    for n in range(7, 40):
+        yield f"C_{n}(1, 3)", circulant(n, (1, 3))
+        yield f"C_{n}(1, 4)", circulant(n, (1, 4))
+    for s in range(1, 8):
+        for t in range(s, 8):
+            yield f"K_{s},{t}", complete_bipartite(s, t)
+    for n in range(5, 16):
+        for k in range(1, (n - 1) // 2 + 1):
+            yield f"GP({n}, {k})", generalized_petersen(n, k)
+
+
+def test_the_contraction_certificate_on_structured_families():
+    # sound on every graph, and it proves every 3-connected one here with
+    # no scan, the generalised Petersen graphs included
+    three_connected = certified = 0
+    for name, g in structured_graphs():
+        seps = list(two_separations(g)) if g.n >= 4 else None
+        three_connected += seps == []
+        if decompose._contracts_to_k4(g):
+            assert seps == [], name
+            certified += 1
+    assert certified == three_connected == 194
 
 
 def test_two_separations_run_no_pair_scan(monkeypatch):

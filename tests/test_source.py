@@ -52,3 +52,21 @@ def test_only_decompose_reads_the_block_cut_incidence():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "incidence"]
     assert not found, f"BlockCutTree.incidence read outside decompose.py: {found}"
+
+
+def test_one_copy_of_the_3_connectivity_certificate():
+    # decompose.py alone defines the contraction certificate, and the two
+    # 3-connectivity decisions reach it through that one helper
+    defined, callers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name == "_contracts_to_k4":
+                defined.append(path.name)
+            if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                   and c.func.id == "_contracts_to_k4" for c in ast.walk(node)):
+                callers.add(f"{path.stem}.{node.name}")
+    assert defined == ["decompose.py"]
+    assert callers == {"cycles._classify", "decompose.vertex_connectivity_at_least"}

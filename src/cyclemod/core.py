@@ -315,133 +315,45 @@ def core_paths_semilength(g, core, k):
 
 # -- turning attachment families into (x, y)-families ----------------------
 
-T_PATHS = "TPaths"
-TXS_PATHS = "TxSPaths"
-TS_PATHS = "TSPaths"
-TY_PATHS = "TyPaths"
-SY_PATHS = "SyPaths"
 
-_REQUIRED_COUNT = {
-    T_PATHS: lambda k, l: k - l + 1,
-    TXS_PATHS: lambda k, l: k - l + 1,
-    TS_PATHS: lambda k, l: k - l + 2,
-    TY_PATHS: lambda k, l: k - l,
-    SY_PATHS: lambda k, l: k - l + 1,
-}
+def extend_from_core(g, core, fam, k):
+    """Convert k - l (T, y)-paths, internally disjoint from V(H), into k
+    (x, y)-paths of the same class.
 
-
-def extend_from_core(g, core, attachment, fam, k):
-    """Convert an attachment family into k (x, y)-paths of the same class.
-
-    attachment names where the supplied paths run (all internally disjoint
-    from V(H)): between two T vertices; from T to {x, s}; from T to
-    S - {x, s}; from T to y; from S - {x} to y.  Each member gets a fixed
-    hook through H; the longest member is additionally re-routed through
-    ladder detours of lengths stepping by 2, which tops the family up to k.
+    Each member gets the hook x, t through H; the longest member is then
+    re-routed through (x, t)-ladders of lengths 3, 5, ..., 2l + 1, which
+    tops the family up to k with steps of 2.
     """
     l = core.l
     x, y = core.x, core.y
     if l < 1:
         raise HypothesisNotMet("core has no ladder (l = 0)")
-    if attachment not in _REQUIRED_COUNT:
-        raise InvalidArgument(f"unknown attachment kind {attachment!r}")
-    need = _REQUIRED_COUNT[attachment](k, l)
+    need = k - l
     if need < 1:
         raise HypothesisNotMet("k too small relative to l for this attachment")
     if len(fam.members) != need or fam.cls.kind not in (LENGTH, SEMI):
         raise HypothesisNotMet(
-            f"{attachment} needs {need} members with a length or semi-length class"
+            f"(T, y)-paths: need {need} members with a length or semi-length class"
         )
     h = core.h_vertices()
-    s_set, t_set = set(core.s), set(core.t)
+    t_set = set(core.t)
     for m in fam.members:
         if set(m[1:-1]) & h:
             raise InvalidWitness("attachment member passes through the core")
 
-    c_set = set(core.component_c)
-    needs_s = attachment in (T_PATHS, TXS_PATHS, TS_PATHS)
-    s = None
-    exit_path = None
-    if needs_s:
-        s_cands = [v for v in core.s if v != x and (g.adj[v] & c_set)]
-        if not s_cands:
-            raise HypothesisNotMet("no vertex s in S - x with an edge into C")
-        s = s_cands[0]
-        exit_path = _exit_to_y(g, core, via=s)
-
     members = []
+    for m in fam.members:
+        if m[0] == y:
+            m = tuple(reversed(m))
+        if m[0] not in t_set or m[-1] != y:
+            raise InvalidWitness("member must join T to y")
+        members.append(join_paths((x, m[0]), m))
     last = fam.members[-1]
-
-    if attachment == T_PATHS:
-        for m in fam.members:
-            if m[0] not in t_set or m[-1] not in t_set:
-                raise InvalidWitness("T-path endpoints must lie in T")
-            members.append(join_paths((x, m[0]), m, (m[-1], s), exit_path))
-        for j in range(1, l):
-            lad = h_ladder_path(core, last[-1], s, 2 * j + 1, avoid=(last[0], x))
-            members.append(join_paths((x, last[0]), last, lad, exit_path))
-
-    elif attachment == TXS_PATHS:
-        oriented = []
-        for m in fam.members:
-            if m[0] in (x, s):
-                m = tuple(reversed(m))
-            if m[0] not in t_set or m[-1] not in (x, s):
-                raise InvalidWitness("member must join T to {x, s}")
-            oriented.append(m)
-            if m[-1] == s:
-                members.append(join_paths((x, m[0]), m, exit_path))
-            else:  # ends at x: flip so x leads, then hook the T end to s
-                members.append(join_paths(tuple(reversed(m)), (m[0], s), exit_path))
-        last = oriented[-1]
-        for j in range(1, l):
-            if last[-1] == s:
-                lad = h_ladder_path(core, x, last[0], 2 * j + 1, avoid=(s,))
-                members.append(join_paths(lad, last, exit_path))
-            else:
-                lad = h_ladder_path(core, last[0], s, 2 * j + 1, avoid=(x,))
-                members.append(join_paths(tuple(reversed(last)), lad, exit_path))
-
-    elif attachment == TS_PATHS:
-        for m in fam.members:
-            if m[0] in s_set:
-                m = tuple(reversed(m))
-            if m[0] not in t_set or m[-1] not in s_set or m[-1] in (x, s):
-                raise InvalidWitness("member must join T to S - {x, s}")
-            hook_t = min(t_set - {m[0]} - set(m))
-            members.append(join_paths((x, m[0]), m, (m[-1], hook_t, s), exit_path))
-        if last[0] in s_set:
-            last = tuple(reversed(last))
-        for j in range(2, l):
-            lad = h_ladder_path(core, last[-1], s, 2 * j, avoid=(x, last[0]))
-            members.append(join_paths((x, last[0]), last, lad, exit_path))
-
-    elif attachment == TY_PATHS:
-        for m in fam.members:
-            if m[0] == y:
-                m = tuple(reversed(m))
-            if m[0] not in t_set or m[-1] != y:
-                raise InvalidWitness("member must join T to y")
-            members.append(join_paths((x, m[0]), m))
-        if last[0] == y:
-            last = tuple(reversed(last))
-        for j in range(1, l + 1):
-            lad = h_ladder_path(core, x, last[0], 2 * j + 1)
-            members.append(join_paths(lad, last))
-
-    elif attachment == SY_PATHS:
-        for m in fam.members:
-            if m[0] == y:
-                m = tuple(reversed(m))
-            if m[0] not in s_set or m[0] == x or m[-1] != y:
-                raise InvalidWitness("member must join S - x to y")
-            hook_t = min(t_set - set(m))
-            members.append(join_paths((x, hook_t, m[0]), m))
-        if last[0] == y:
-            last = tuple(reversed(last))
-        for j in range(2, l + 1):
-            lad = h_ladder_path(core, x, last[0], 2 * j)
-            members.append(join_paths(lad, last))
+    if last[0] == y:
+        last = tuple(reversed(last))
+    for j in range(1, l + 1):
+        lad = h_ladder_path(core, x, last[0], 2 * j + 1)
+        members.append(join_paths(lad, last))
 
     if len(members) != k:
         raise HypothesisNotMet(f"construction yields {len(members)} paths, not {k}")

@@ -20,7 +20,7 @@ modulo k, which all_residues_mod_k packages up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 
 from .errors import (
     BudgetExceeded,
@@ -49,18 +49,15 @@ from .families import (
     CONSECUTIVE,
     LENGTH,
     FamilyClass,
-    _arc,
     close_cycle,
     glue_two_sided_length,
     glue_two_sided_semilength,
     join_paths,
-    length_rows,
     make_cycle_family,
     make_path_family,
     odd_cycle_fan,
     odd_cycle_x_fan,
     residues_mod_k,
-    semi_rows,
     validate_cycle_family,
 )
 from .oraclekern import _first_cycle, default_budget, find_cycle_with_length
@@ -73,8 +70,6 @@ from .paths import (
     _recurse_on,
 )
 
-BRANCH_TWO_CUT = "two-cut"
-BRANCH_ODD_CYCLE = "odd-cycle"
 BRANCH_BIPARTITE = "bipartite-oracle"
 
 
@@ -146,30 +141,6 @@ class OddCycleWitness:
     kind: str
 
 
-def _cyclic_order(g, verts):
-    """Vertices of an induced cycle in cyclic order (or None)."""
-    verts = sorted(verts)
-    vset = set(verts)
-    for v in verts:
-        if len(g.adj[v] & vset) != 2:
-            return None
-    start = verts[0]
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxts = sorted(w for w in g.adj[cur] & vset if w != prev)
-        if not nxts:
-            return None
-        prev, cur = cur, nxts[0]
-        if cur == start:
-            break
-        order.append(cur)
-        if len(order) > len(verts):
-            return None
-    return tuple(order) if len(order) == len(verts) else None
-
-
 def check_witness(g, w):
     """(True, None) or (False, reason) for an OddCycleWitness."""
     c = w.cycle
@@ -238,9 +209,11 @@ def find_nonsep_induced_odd_cycle(g):
             raise BudgetExceeded(f"odd-cycle witness search exceeded {budget} nodes")
 
     def cycles_at(s, length):
-        # vertex sets of the induced cycles s, p1, ..., p_last of `length`
-        # vertices above s, with p1 < p_last; `ban` holds s and the vertices
-        # below it, the path, and the neighbors of its interior past p1
+        # the induced cycles s, p1, ..., p_last of `length` vertices above
+        # s, with p1 < p_last, as (vertex set, path) pairs in vertex-set
+        # order; the path is the cycle in cyclic order from s.  `ban` holds
+        # s and the vertices below it, the path, and the neighbors of its
+        # interior past p1
         found = []
         low = (2 << s) - 1
         # reach[d]: the vertices within distance d of s in G[{s} | {v > s}]
@@ -264,7 +237,8 @@ def find_nonsep_induced_odd_cycle(g):
             charge(cand)
             for v in mask_bits(cand):
                 if closing:
-                    found.append(tuple(sorted(path + [v])))
+                    cycle = tuple(path + [v])
+                    found.append((tuple(sorted(cycle)), cycle))
                 else:
                     extend(path + [v], ban | (1 << v) | adj[end])
 
@@ -277,8 +251,8 @@ def find_nonsep_induced_odd_cycle(g):
     for length in range(3, g.n + 1, 2):
         kind = WITNESS_TRIANGLE if length == 3 else WITNESS_TWO_NEIGHBOR
         for s in range(g.n - length + 1):
-            for verts in cycles_at(s, length):
-                w = OddCycleWitness(_cyclic_order(g, verts), kind)
+            for _verts, cycle in cycles_at(s, length):
+                w = OddCycleWitness(cycle, kind)
                 ok, _reason = check_witness(g, w)
                 if ok:
                     return w
@@ -427,8 +401,9 @@ def _triangle_fans(g, k, c, trace):
 
 
 def _long_witness(g, k, c, trace):
-    """|C| >= 5 and the two-neighbor property: fan through the blocks of
-    G - V(C), or close length-condition cycles around C from two blocks."""
+    """|C| >= 5 and the two-neighbor property: fan path families from one
+    end block of G - V(C), or from all of it when it is a single block,
+    around C."""
     l, phi = split_parity(k)
     # G - V(C) is connected (the witness is non-separating) and non-empty
     # (each vertex of the induced C has delta - 2 >= 1 neighbors off C)
@@ -436,16 +411,10 @@ def _long_witness(g, k, c, trace):
     sub, to_orig = induced(g, rest)
     # candidate (block, cut-vertex) pairs; the whole of G - V(C) when it is
     # a single block (any anchor vertex works as the degenerate cut)
-    end_blocks = [({to_orig[v] for v in blk}, to_orig[b]) for blk, b in leaf_blocks(sub)]
-    cands = end_blocks or [(set(rest), b) for b in rest]
-
+    cands = [({to_orig[v] for v in blk}, to_orig[b]) for blk, b in leaf_blocks(sub)]
+    cands = cands or [(set(rest), b) for b in rest]
     for blk, b in cands:
         fam = _fan_from_block(g, k, l, phi, c, blk, b, rest, trace)
-        if fam is not None:
-            return fam
-
-    if len(end_blocks) >= 2:
-        fam = _two_block_closure(g, k, l, phi, c, end_blocks, rest, trace)
         if fam is not None:
             return fam
     return None
@@ -532,113 +501,6 @@ def _attempt_u_fan(g, k, l, phi, c, rot, u, x, blk, b, y_opts, rest, trace):
         trace.record("antipode-fan")
         return make_cycle_family(cyc.members[:k], cls=cyc.cls)
     return None
-
-
-def _two_block_closure(g, k, l, phi, c, end_blocks, rest, trace):
-    """Two end blocks anchored at distinct cycle vertices: 2l - 3 + phi
-    (x1, x2)-paths of length condition closed around C three ways."""
-    n_c = len(c)
-    m = (n_c - 1) // 2
-    for (blk1, b1), (blk2, b2) in combinations(end_blocks, 2):
-        for swap in (False, True):
-            ba, ca, bb, cb = (blk1, b1, blk2, b2) if not swap else (blk2, b2, blk1, b1)
-            for rot in _rotations(c):
-                fam = _closure_rotation(g, k, l, phi, rot, ba, ca, bb, cb, rest, trace)
-                if fam is not None:
-                    return fam
-    return None
-
-
-def _closure_rotation(g, k, l, phi, rot, blk1, b1, blk2, b2, rest, trace):
-    u1, u1p, u1m = rot[0], rot[1], rot[-1]
-    x1_opts = sorted(v for v in blk1 - {b1} if {u1p, u1m} <= g.adj[v])
-    if not x1_opts:
-        return None
-    n_c = len(rot)
-    for a in range(2, n_c - 2):
-        u2, u2p, u2m = rot[a], rot[a + 1], rot[a - 1]
-        x2_opts = sorted(v for v in blk2 - {b2} if {u2p, u2m} <= g.adj[v])
-        if not x2_opts:
-            continue
-        for x1 in x1_opts:
-            for x2 in x2_opts:
-                paths = _cross_block_paths(g, l, phi, blk1, b1, x1, blk2, b2, x2, rest, trace)
-                if paths is None:
-                    continue
-                fam = _close_around(g, k, rot, a, paths, trace)
-                if fam is not None:
-                    return fam
-    return None
-
-
-def _cross_block_paths(g, l, phi, blk1, b1, x1, blk2, b2, x2, rest, trace):
-    """2l - 3 + phi (x1, x2)-paths satisfying the length condition in
-    G - V(C), concatenated across the trunk between the two blocks."""
-    bridge = _path_within(g, b1, b2, (set(rest) - (blk1 - {b1}) - (blk2 - {b2})))
-    if bridge is None:
-        return None
-
-    def closed(rows):
-        members = [join_paths(a, bridge, b) for a, b in rows]
-        return make_path_family(members, cls=FamilyClass(LENGTH))
-
-    if phi == 0:
-        p_fam = _block_paths(g, blk1, b1, x1, l - 1, False, trace)
-        q_fam = _reverse_side(g, blk2, b2, x2, l - 1, False, trace)
-        if p_fam is None or q_fam is None:
-            return None
-        return closed(length_rows(p_fam.members, q_fam.members))
-
-    p_fam = _block_paths(g, blk1, b1, x1, l, True, trace)
-    if p_fam is None:
-        return None
-    if p_fam.cls.kind == LENGTH:
-        q_fam = _reverse_side(g, blk2, b2, x2, l - 1, False, trace)
-        if q_fam is None:
-            return None
-        return closed(length_rows(p_fam.members, q_fam.members))
-    q_fam = _reverse_side(g, blk2, b2, x2, l, True, trace)
-    if q_fam is None:
-        return None
-    if q_fam.cls.kind == LENGTH:
-        p_short = _block_paths(g, blk1, b1, x1, l - 1, False, trace)
-        if p_short is None:
-            return None
-        return closed(length_rows(p_short.members, q_fam.members))
-    return closed(semi_rows(p_fam.members, p_fam.cls.switch, q_fam.members, q_fam.cls.switch))
-
-
-def _reverse_side(g, blk, b, x, kk, flex, trace):
-    """(b, x)-paths oriented from the cut vertex outward."""
-    fam = _block_paths(g, blk, b, x, kk, flex, trace)
-    if fam is None:
-        return None
-    members = [tuple(reversed(m)) for m in fam.members]
-    return make_path_family(members, cls=fam.cls)
-
-
-def _close_around(g, k, rot, a, paths, trace):
-    """Close (x1, x2)-paths around the cycle: all paths via the short
-    u2- -> u1+ arc, the longest also via the two longer arcs through u1."""
-    n_c = len(rot)
-    if len(paths.members) != k - 2:
-        return None
-    short = _arc(rot, a - 1, 1, False)        # u2- down to u1+: a - 2 edges
-    mid = _arc(rot, a - 1, n_c - 1, False)    # u2- through u1 to u1-: a edges
-    long_ = _arc(rot, a + 1, n_c - 1, False)  # u2+ through u2, u1 to u1-: a + 2 edges
-    # close each path x1..x2 with an arc of C; lengths p_i + a, then the
-    # longest path again with the two longer arcs: + a + 2 and + a + 4
-    rows = [tuple(p) + short for p in paths.members]
-    last = paths.members[-1]
-    rows.append(tuple(last) + mid)
-    rows.append(tuple(last) + long_)
-    try:
-        fam = make_cycle_family(rows, cls=FamilyClass(LENGTH))
-        validate_cycle_family(g, fam, allowed=(LENGTH,))
-    except _BRANCH_ERRORS:
-        return None
-    trace.record("two-block-closure")
-    return fam
 
 
 # -- the dispatcher -----------------------------------------------------------

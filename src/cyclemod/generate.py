@@ -39,11 +39,11 @@ def satisfies(g, spec):
         return False
     if spec.bipartite and _coloring(g) is None:
         return False
-    if not is_2_connected(g):
-        return False
-    if spec.connectivity == 3 and (g.n < 4 or not vertex_connectivity_at_least(g, 3)):
-        return False
-    return True
+    if spec.connectivity == 3:
+        # on n >= 4 vertices the 3-connectivity test already rejects a
+        # disconnected graph or one with a cut vertex
+        return g.n >= 4 and vertex_connectivity_at_least(g, 3)
+    return is_2_connected(g)
 
 
 def _sample(rng, spec):

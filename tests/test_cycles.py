@@ -15,8 +15,6 @@ from cyclemod.graph import (
 )
 from cyclemod.cycles import (
     OddCycleWitness,
-    _cross_block_paths,
-    _cyclic_order,
     _long_witness,
     all_residues_mod_k,
     branch_of,
@@ -32,7 +30,6 @@ from cyclemod.families import (
     FamilyClass,
     make_cycle_family,
     validate_cycle_family,
-    validate_path_family,
 )
 from cyclemod.oraclekern import (
     DEFAULT_BUDGET,
@@ -211,6 +208,30 @@ def test_witness_long_cycles():
     assert check_witness(circulant(13, (1, 5)), w) == (True, None)
 
 
+def _cyclic_order(g, verts):
+    """Vertices of an induced cycle in cyclic order (or None)."""
+    verts = sorted(verts)
+    vset = set(verts)
+    for v in verts:
+        if len(g.adj[v] & vset) != 2:
+            return None
+    start = verts[0]
+    order = [start]
+    prev = None
+    cur = start
+    while True:
+        nxts = sorted(w for w in g.adj[cur] & vset if w != prev)
+        if not nxts:
+            return None
+        prev, cur = cur, nxts[0]
+        if cur == start:
+            break
+        order.append(cur)
+        if len(order) > len(verts):
+            return None
+    return tuple(order) if len(order) == len(verts) else None
+
+
 def _witness_by_combinations(g):
     """find_nonsep_induced_odd_cycle as a loop over every vertex set of each
     odd size in lexicographic order; the reference for the chordless-path
@@ -386,28 +407,6 @@ def test_branch_ii_long_witness_constructive():
     fam, branch = find_k_cycles(circulant(13, (1, 5)), 3, trace=trace)
     assert branch == "II" and fam.k == 3 and not trace.constructive_gap
     assert trace.branches[-1] == "antipode-x-fan"  # the 5-cycle witness fans
-
-
-def two_cliques_on_a_trunk(m1, m2):
-    """K_m1 on 0..m1-1 and K_m2 on m1+1..m1+m2, joined by the path 0, m1, m1+1."""
-    b2 = m1 + 1
-    edges = [(u, v) for u in range(m1) for v in range(u + 1, m1)]
-    edges += [(u, v) for u in range(b2, b2 + m2) for v in range(u + 1, b2 + m2)]
-    edges += [(0, m1), (m1, b2)]
-    return Graph(b2 + m2, edges), set(range(m1)), set(range(b2, b2 + m2)), b2
-
-
-# K6 holds a semi-length family of three rooted paths but no length one, K7
-# holds a length one: with phi = 1 the three pairs take the length schedule,
-# the one with the shorter first side, and the semi-length schedule
-@pytest.mark.parametrize("phi, m1, m2", [(0, 5, 5), (1, 7, 7), (1, 6, 7), (1, 6, 6)])
-def test_cross_block_paths_schedules(phi, m1, m2):
-    l = 3
-    g, blk1, blk2, b2 = two_cliques_on_a_trunk(m1, m2)
-    fam = _cross_block_paths(g, l, phi, blk1, 0, 1, blk2, b2, b2 + 1, range(g.n),
-                             ExtractionTrace())
-    validate_path_family(g, fam, 1, b2 + 1, allowed=(LENGTH,))
-    assert fam.k == 2 * l - 3 + phi
 
 
 def test_long_witness_fans_from_u():

@@ -1,10 +1,13 @@
 """Seeded rejection-sampling graph generation."""
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclemod.errors import GenerationInfeasible
-from cyclemod.generate import GenSpec, generate, satisfies
+from cyclemod.generate import GenSpec, _sample, generate, satisfies
 from cyclemod.graph import is_bipartite
 from cyclemod.decompose import is_2_connected, vertex_connectivity_at_least
 
@@ -47,3 +50,35 @@ def test_generated_graphs_verify(n, d, seed):
     spec = GenSpec(n=n, min_degree=d, seed=seed)
     g = generate(spec)
     assert satisfies(g, spec)
+
+
+def _satisfies_with_the_2_connectivity_walk(g, spec):
+    """satisfies as it read when every spec ran is_2_connected first."""
+    if g.n != spec.n or g.min_degree() < spec.min_degree:
+        return False
+    if spec.bipartite and is_bipartite(g) is None:
+        return False
+    if not is_2_connected(g):
+        return False
+    return spec.connectivity == 2 or (g.n >= 4 and vertex_connectivity_at_least(g, 3))
+
+
+def test_satisfies_matches_the_predicate_with_the_2_connectivity_walk():
+    # raw samples, most of them rejected: sparse ones are often disconnected
+    # or have a cut vertex
+    rng = random.Random(3)
+    verdicts = Counter()
+    for n in range(3, 13):
+        for d in range(0, 4):
+            for connectivity in (2, 3):
+                for bipartite in (False, True):
+                    spec = GenSpec(n=n, min_degree=d, connectivity=connectivity,
+                                   bipartite=bipartite and 2 * d <= n)
+                    for _ in range(6):
+                        g = _sample(rng, spec)
+                        want = _satisfies_with_the_2_connectivity_walk(g, spec)
+                        assert satisfies(g, spec) == want, (spec, g.edges())
+                        verdicts[connectivity, want, is_2_connected(g)] += 1
+    # both verdicts on 3-connectivity specs, and rejections of graphs that
+    # are not even 2-connected among them
+    assert verdicts[3, True, True] and verdicts[3, False, True] and verdicts[3, False, False]

@@ -1,11 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import cyclemod
 
 SRC = Path(cyclemod.__file__).resolve().parent
+DOTTED_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _raises_assertion_error(node):
@@ -70,3 +72,47 @@ def test_one_copy_of_the_3_connectivity_certificate():
                 callers.add(f"{path.stem}.{node.name}")
     assert defined == ["decompose.py"]
     assert callers == {"cycles._classify", "decompose.vertex_connectivity_at_least"}
+
+
+def _identifier_references(tree):
+    """Names a module reads: loaded names, attributes, imported names, and
+    string constants that are a dotted identifier (perfbench/tracing.py
+    names the functions it wraps that way)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED_IDENTIFIER.fullmatch(node.value)):
+            found.update(node.value.split("."))
+    return found
+
+
+def _is_click_command(node):
+    return any("command" in ast.unparse(d) for d in node.decorator_list)
+
+
+def test_every_top_level_name_is_referenced():
+    # a function, class or constant that nothing in src/, tests/ or
+    # perfbench/ reads is dead code; click commands are reached by name
+    root = SRC.parent.parent
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used |= _identifier_references(ast.parse(path.read_text(), filename=str(path)))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [] if _is_click_command(node) else [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{path.stem}.{name}" for name in names
+                      if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert not found, f"top-level names that nothing references: {found}"

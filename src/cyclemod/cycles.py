@@ -90,37 +90,44 @@ def oracle_cycles(g, k):
     odd lengths in a bipartite graph; any other length is decided by the
     first-found cycle search, and the cycle it finds is the family member.
     All searches of one call draw on one node budget."""
-    return _oracle_cycles(g, k, _coloring(g) is not None)
+    fam = _oracle_cycles(g, k, _coloring(g) is not None)
+    return None if fam is None else validate_cycle_family(g, fam)
 
 
 def _oracle_cycles(g, k, bipartite):
-    """oracle_cycles(g, k), given whether g is bipartite."""
+    """oracle_cycles(g, k), given whether g is bipartite, unvalidated: the
+    caller validates the family."""
     shortest = _girth(g, bipartite)
     if shortest is None:
         return None
+    adj = adj_masks(g)
     budget = default_budget()
     nodes = 0
     found = {}  # length -> first cycle of that length, or None
-
-    def ruled_out(length):  # absent with no search, or searched in vain
-        if length > g.n or (bipartite and length % 2 == 1):
-            return True
-        return length in found and found[length] is None
+    # bit L is set once length L is known to be absent: with no search
+    # (above n, or odd in a bipartite graph) or after a search in vain
+    absent = -1 << (g.n + 1)
+    if bipartite:
+        for length in range(1, g.n + 1, 2):
+            absent |= 1 << length
 
     def realized(length):
-        nonlocal nodes
+        nonlocal nodes, absent
         if length not in found:
-            found[length], nodes = _first_cycle(g, length, (), budget, nodes)
+            found[length], nodes = _first_cycle(adj, length, budget, nodes)
+            if found[length] is None:
+                absent |= 1 << length
         return found[length] is not None
 
     for kind, step in ((CONSECUTIVE, 1), (LENGTH, 2)):
+        window = sum(1 << (step * i) for i in range(k))  # bit i * step: length a + i * step
         for a in range(shortest, g.n + 1):
-            want = [a + step * i for i in range(k)]
             # a window with a length known to be absent costs no search
-            if any(map(ruled_out, want)) or not all(map(realized, want)):
+            if absent >> a & window:
                 continue
-            fam = make_cycle_family([found[length] for length in want], cls=FamilyClass(kind))
-            return validate_cycle_family(g, fam)
+            want = range(a, a + step * k, step)
+            if all(map(realized, want)):
+                return make_cycle_family([found[length] for length in want], cls=FamilyClass(kind))
     return None
 
 

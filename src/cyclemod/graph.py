@@ -213,7 +213,13 @@ def _girth(g, bipartite):
 def adj_masks(g):
     """Adjacency as int bitmasks: bit v of adj_masks(g)[u] is set exactly
     when uv is an edge."""
-    return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
+    masks = []
+    for nbrs in g.adj:
+        mask = 0
+        for v in nbrs:
+            mask |= 1 << v
+        masks.append(mask)
+    return masks
 
 
 def mask_bits(mask):

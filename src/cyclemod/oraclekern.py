@@ -2,17 +2,20 @@
 and the exact set of cycle lengths of a graph, plus the witness searches
 that materialize one path or cycle of a given length.
 
-These are the hot loops of the oracle layer, in pure Python; the two
-length kernels work on arbitrary-width int adjacency bitmasks (any n):
+These are the hot loops of the oracle layer, in pure Python, on
+arbitrary-width int adjacency bitmasks (any n):
 - the path lengths come from a depth-first search over every simple path,
   one node per step;
 - the cycle spectrum comes from a Bellman/Held-Karp subset DP, one set
   size at a time, in O(2^n * n * max degree): one node per (vertex set,
   end vertex) expansion and one per edge relaxation; the library's cycle
   oracle no longer calls it, and it stays as the tests' ground truth;
-- the witness searches are depth-first, one node per extension; a cycle
-  search can go on counting from where earlier ones stopped, so that a
-  series of searches shares one budget.
+- the witness searches are one first-found depth-first search, _first_walk,
+  parameterised by its closing test: a cycle closes back to its smallest
+  vertex s through vertices above s, a path ends at y and never passes
+  through y.  It extends neighbors lowest id first, one node per
+  extension; a search can go on counting from where earlier ones stopped,
+  so that a series of searches shares one budget.
 Every search counts its nodes against a budget (default 10**7, override
 with the CYCLEMOD_BUDGET environment variable) and raises BudgetExceeded
 rather than returning a partial answer.
@@ -137,83 +140,89 @@ def cycle_length_set(g, budget=None):
 # -- witness materialization (deterministic first-found DFS) ---------------
 
 
-def find_path_with_length(g, x, y, length, avoid=()):
-    """First (lex by neighbor order) simple (x, y)-path with exactly
-    `length` edges avoiding `avoid`, or None.  One node per extension is
-    counted against the default budget."""
-    avoid = set(avoid)
-    if x in avoid or y in avoid:
-        return None
-    budget = default_budget()
-    nodes = 0
-    path = [x]
-    onpath = {x}
+def _first_walk(adj, start, depth, ends, stop, banned, budget, nodes):
+    """(first simple walk of `depth` edges from `start` whose last vertex is
+    in the bitmask `ends`, as a tuple, or None; nodes; truncated).
 
-    def rec():
-        nonlocal nodes
-        u = path[-1]
-        if len(path) - 1 == length:
-            return u == y
-        if u == y:
-            return False
-        # plain DFS, no pruning: a missing length explores every simple path
-        for v in sorted(g.adj[u]):
-            if v in onpath or v in avoid:
-                continue
-            nodes += 1
+    Vertices in `banned` (which holds `start`) are never entered, and a
+    walk that reaches a vertex of `stop` before its last step goes no
+    further.  Neighbors are extended lowest id first, one node per
+    extension on top of the `nodes` already spent; the last step of a walk
+    is charged in one go, up to the first closing vertex.  An overrun
+    reports the first node past the budget."""
+    path = [start]
+    stack = [adj[start] & ~banned]
+    visited = banned
+    while stack:
+        rem = stack[-1]
+        if len(path) == depth:
+            hit = rem & ends
+            if hit:
+                hit &= -hit
+                rem &= (hit << 1) - 1
+            nodes += rem.bit_count()
             if nodes > budget:
-                raise BudgetExceeded(f"path search exceeded {budget} nodes")
-            path.append(v)
-            onpath.add(v)
-            if rec():
-                return True
-            onpath.discard(v)
-            path.pop()
-        return False
+                return None, budget + 1, True
+            if hit:
+                return tuple(path) + (hit.bit_length() - 1,), nodes, False
+            rem = 0
+        if rem == 0:
+            visited &= ~(1 << path.pop())
+            stack.pop()
+            continue
+        b = rem & -rem
+        stack[-1] = rem ^ b
+        nodes += 1
+        if nodes > budget:
+            return None, nodes, True
+        if stop & b:
+            continue
+        visited |= b
+        path.append(b.bit_length() - 1)
+        stack.append(adj[path[-1]] & ~visited)
+    return None, nodes, False
 
-    if rec():
-        return tuple(path)
-    return None
+
+def find_path_with_length(g, x, y, length):
+    """First (lex by neighbor order) simple (x, y)-path with exactly
+    `length` edges, or None.  One node per extension is counted against the
+    default budget; a missing length explores every simple path."""
+    return _first_path(adj_masks(g), x, y, length, default_budget(), 0)[0]
 
 
-def find_cycle_with_length(g, length, avoid=()):
+def _first_path(adj, x, y, length, budget, nodes):
+    """(first simple (x, y)-path with exactly `length` edges or None, nodes),
+    on the adjacency bitmasks `adj`; the path never passes through y.
+    Counts nodes as _first_cycle does."""
+    if length == 0 or x == y:
+        return ((x,) if length == 0 and x == y else None), nodes
+    path, nodes, truncated = _first_walk(adj, x, length, 1 << y, 1 << y, 1 << x, budget, nodes)
+    if truncated:
+        raise BudgetExceeded(f"path search exceeded {budget} nodes")
+    return path, nodes
+
+
+def find_cycle_with_length(g, length):
     """First simple cycle with exactly `length` edges, or None.  One node
     per extension is counted against the default budget."""
-    return _first_cycle(g, length, avoid, default_budget(), 0)[0]
+    return _first_cycle(adj_masks(g), length, default_budget(), 0)[0]
 
 
-def _first_cycle(g, length, avoid, budget, nodes):
-    """(first simple cycle with exactly `length` edges or None, nodes).
+def _first_cycle(adj, length, budget, nodes):
+    """(first simple cycle with exactly `length` edges or None, nodes), on
+    the adjacency bitmasks `adj`.
 
-    `nodes` counts what earlier searches drawing on the same `budget` have
-    spent; this search adds one node per extension and raises
-    BudgetExceeded once the total passes the budget."""
-    avoid = set(avoid)
-    for s in range(g.n):
-        if s in avoid:
-            continue
-        path = [s]
-        onpath = {s}
-
-        def rec():
-            nonlocal nodes
-            u = path[-1]
-            if len(path) == length:
-                return g.has_edge(u, s)
-            for v in sorted(g.adj[u]):
-                if v <= s or v in onpath or v in avoid:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"cycle search exceeded {budget} nodes")
-                path.append(v)
-                onpath.add(v)
-                if rec():
-                    return True
-                onpath.discard(v)
-                path.pop()
-            return False
-
-        if length >= 3 and rec():
-            return tuple(path), nodes
+    Each cycle is found from its smallest vertex s, through vertices above
+    s and back to s.  `nodes` counts what earlier searches drawing on the
+    same `budget` have spent; this search adds one node per extension and
+    raises BudgetExceeded once the total passes the budget."""
+    if length < 3:
+        return None, nodes
+    for s in range(len(adj)):
+        cycle, nodes, truncated = _first_walk(adj, s, length - 1, adj[s], 0, (2 << s) - 1,
+                                              budget, nodes)
+        if truncated:
+            raise BudgetExceeded(f"cycle search exceeded {budget} nodes")
+        if cycle is not None:
+            return cycle, nodes
     return None, nodes

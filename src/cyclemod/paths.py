@@ -177,6 +177,11 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
     adjacent to its neighbor on the path.
     """
     sub, to_orig = induced(g, verts)
+    return _recurse_on_sub(g, sub, to_orig, a, b, k, flex, trace)
+
+
+def _recurse_on_sub(g, sub, to_orig, a, b, k, flex, trace):
+    """_recurse_on on G[verts] already built: (sub, to_orig) = induced(g, verts)."""
     inv = {v: i for i, v in enumerate(to_orig)}
     n, extra, roots = sub.n, [], []
     for r in (a, b):
@@ -516,13 +521,12 @@ def _single_y_two_t(g, x, y, k, flex, trace, core):
 def _single_y_delete_pair(g, x, y, k, flex, trace, core, s, t):
     """G - {s, t} 2-connected: k - 1 paths there, and the longest once more
     with its last edge replaced by the detour s, t, y."""
-    gp_verts = set(range(g.n)) - {s, t}
-    sub, _to_orig = induced(g, gp_verts)
+    sub, to_orig = induced(g, set(range(g.n)) - {s, t})
     if not is_2_connected(sub):
         return None
 
     def two_conn():
-        fam = _recurse_on(g, gp_verts, x, y, k - 1, flex, trace)
+        fam = _recurse_on_sub(g, sub, to_orig, x, y, k - 1, flex, trace)
         if fam is None:
             return None
         longest = fam.members[-1]

@@ -9,13 +9,13 @@ from cyclemod.errors import BudgetExceeded, HypothesisNotMet, InvalidWitness
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
     Graph,
+    adj_masks,
     complete_bipartite,
     complete_graph,
     cycle_graph,
 )
 from cyclemod.cycles import (
     OddCycleWitness,
-    _long_witness,
     all_residues_mod_k,
     branch_of,
     check_witness,
@@ -172,7 +172,7 @@ def test_branch_iii_beyond_the_spectrum(n, d, k):
 
 def test_oracle_cycles_searches_share_one_budget(monkeypatch):
     g = petersen()  # the first consecutive window is (5, 6)
-    spent = [_first_cycle(g, length, (), DEFAULT_BUDGET, 0)[1] for length in (5, 6)]
+    spent = [_first_cycle(adj_masks(g), length, DEFAULT_BUDGET, 0)[1] for length in (5, 6)]
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(sum(spent)))
     assert sorted(oracle_cycles(g, 2).lengths()) == [5, 6]
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(sum(spent) - 1))
@@ -410,13 +410,12 @@ def test_branch_ii_long_witness_constructive():
 
 
 def test_long_witness_fans_from_u():
-    # C5 on 0..4; G - V(C) is the triangle 5, 6, 7, seen from u = 0 and the
-    # antipode 3
-    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (3, 6), (5, 6), (5, 7), (6, 7)])
+    # the non-separating induced 5-cycle witness of C_15(1, 3) fans from u
+    g = circulant(15, (1, 3))
     trace = ExtractionTrace()
-    fam = _long_witness(g, 2, (0, 1, 2, 3, 4), trace)
+    fam, branch = find_k_cycles(g, 3, trace=trace)
     validate_cycle_family(g, fam)
-    assert fam.k == 2 and trace.branches[-1] == "antipode-fan"
+    assert branch == "II" and fam.k == 3 and trace.branches[-1] == "antipode-fan"
 
 
 def test_branch_iii_examples():

@@ -1,17 +1,24 @@
 """The cycle-spectrum kernel against the depth-first search it replaced,
-its node budget, and the inputs that only the subset DP can afford."""
+its node budget, and the inputs that only the subset DP can afford; the
+bitmask witness searches against the set-based recursive searches they
+replaced, node for node."""
 
+import networkx as nx
 import pytest
 
 from cyclemod import certify
 from cyclemod.cycles import find_k_cycles
 from cyclemod.errors import BudgetExceeded
 from cyclemod.generate import GenSpec, generate
-from cyclemod.graph import adj_masks, complete_graph
+from cyclemod.graph import Graph, adj_masks, complete_graph
 from cyclemod.oraclekern import (
     DEFAULT_BUDGET,
     _cycle_lengths_py,
+    _first_cycle,
+    _first_path,
     cycle_length_set,
+    find_cycle_with_length,
+    find_path_with_length,
 )
 from cyclemod.paths import ExtractionTrace
 from cyclemod.smallgraphs import connected_graphs
@@ -102,3 +109,144 @@ def test_spectrum_budget_is_enforced_at_n_24(monkeypatch):
     monkeypatch.setenv("CYCLEMOD_BUDGET", "100000")
     with pytest.raises(BudgetExceeded):
         cycle_length_set(generate(GenSpec(n=24, min_degree=4, seed=1)))
+
+
+# -- the witness searches ----------------------------------------------------
+
+
+def _first_cycle_by_recursion(g, length, budget, nodes):
+    """(first simple cycle with exactly `length` edges or None, nodes): the
+    set-based recursive search that _first_cycle replaced."""
+    for s in range(g.n):
+        path = [s]
+        onpath = {s}
+
+        def rec():
+            nonlocal nodes
+            u = path[-1]
+            if len(path) == length:
+                return g.has_edge(u, s)
+            for v in sorted(g.adj[u]):
+                if v <= s or v in onpath:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"cycle search exceeded {budget} nodes")
+                path.append(v)
+                onpath.add(v)
+                if rec():
+                    return True
+                onpath.discard(v)
+                path.pop()
+            return False
+
+        if length >= 3 and rec():
+            return tuple(path), nodes
+    return None, nodes
+
+
+def _first_path_by_recursion(g, x, y, length, budget, nodes):
+    """(first simple (x, y)-path with exactly `length` edges or None,
+    nodes): the set-based recursive search that _first_path replaced."""
+    path = [x]
+    onpath = {x}
+
+    def rec():
+        nonlocal nodes
+        u = path[-1]
+        if len(path) - 1 == length:
+            return u == y
+        if u == y:
+            return False
+        for v in sorted(g.adj[u]):
+            if v in onpath:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"path search exceeded {budget} nodes")
+            path.append(v)
+            onpath.add(v)
+            if rec():
+                return True
+            onpath.discard(v)
+            path.pop()
+        return False
+
+    if rec():
+        return tuple(path), nodes
+    return None, nodes
+
+
+# a length that is missing explores every simple path, more than the
+# recursion affords on the larger graphs; past this budget both searches
+# must raise
+WITNESS_BUDGET = 30_000
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+def assert_same_witnesses(g, pairs, budget=DEFAULT_BUDGET):
+    """Equal (witness, nodes), or both over `budget`, for every length
+    1 ... n + 1: cycles, and paths between each ordered pair in `pairs`."""
+    adj = adj_masks(g)
+    for length in range(1, g.n + 2):
+        got = _outcome(_first_cycle, adj, length, budget, 0)
+        want = _outcome(_first_cycle_by_recursion, g, length, budget, 0)
+        assert got == want, (g.edges(), length)
+        for x, y in pairs:
+            got = _outcome(_first_path, adj, x, y, length, budget, 0)
+            want = _outcome(_first_path_by_recursion, g, x, y, length, budget, 0)
+            assert got == want, (g.edges(), x, y, length)
+
+
+def circulant(n, steps):
+    """C_n(steps): vertex i is adjacent to i +- s (mod n) for each s in steps."""
+    return Graph(n, sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps}))
+
+
+def test_witness_searches_match_the_recursion_on_the_atlas():
+    count = 0
+    for G in nx.graph_atlas_g():
+        g = Graph(G.number_of_nodes(), list(G.edges()))
+        assert_same_witnesses(g, [(x, y) for x in range(g.n) for y in range(g.n)])
+        count += 1
+    assert count == 1253
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+@pytest.mark.parametrize("n", range(8, 17))
+def test_witness_searches_match_the_recursion_on_generated_graphs(n, bipartite):
+    g = generate(GenSpec(n=n, min_degree=3, bipartite=bipartite, seed=0))
+    assert_same_witnesses(g, [(0, n - 1), (n - 1, 0), (1, 2)], budget=WITNESS_BUDGET)
+
+
+@pytest.mark.parametrize("n", range(5, 24, 2))
+def test_witness_searches_match_the_recursion_on_circulants(n):
+    assert_same_witnesses(circulant(n, (1, 3)), [(0, 1), (0, n // 2)], budget=WITNESS_BUDGET)
+
+
+@pytest.mark.parametrize("length", [3, 8, 10])  # 10 > n: no cycle, every path explored
+def test_cycle_search_passes_at_its_budget_and_raises_below(monkeypatch, length):
+    g = circulant(9, (1, 3))
+    want, spent = _first_cycle_by_recursion(g, length, DEFAULT_BUDGET, 0)
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent))
+    assert find_cycle_with_length(g, length) == want
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent - 1))
+    with pytest.raises(BudgetExceeded):
+        find_cycle_with_length(g, length)
+
+
+@pytest.mark.parametrize("length", [3, 5, 9])  # no 0-4 path has 9 edges
+def test_path_search_passes_at_its_budget_and_raises_below(monkeypatch, length):
+    g = circulant(9, (1, 3))
+    want, spent = _first_path_by_recursion(g, 0, 4, length, DEFAULT_BUDGET, 0)
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent))
+    assert find_path_with_length(g, 0, 4, length) == want
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent - 1))
+    with pytest.raises(BudgetExceeded):
+        find_path_with_length(g, 0, 4, length)

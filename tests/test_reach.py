@@ -11,11 +11,13 @@ not a construction, and has no entry.
 """
 
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
 
 import cyclemod
+from cyclemod import certify
 from cyclemod.cycles import find_k_cycles
 from cyclemod.graph import Graph, complete_bipartite, complete_graph
 from cyclemod.paths import ExtractionTrace, find_paths_flex, find_paths_length
@@ -80,6 +82,19 @@ def test_tag_fires_on_a_public_request(tag):
     REACH[tag](trace)
     assert tag in trace.branches, trace.branches
     assert not trace.constructive_gap
+
+
+# SHA-256 of the single-y-2conn request's certificate
+SINGLE_Y_2CONN_SHA256 = "ac8aa729123dbdb9bfa7f2ec6d1ba6c8c19bfe217b96763f2c57a9b9ead7d2bb"
+
+
+def test_single_y_2conn_certificate_is_pinned():
+    g = graph(8, "03 04 05 06 07 13 14 15 16 17 23 24 25 26 27 34 36 45 57 67")
+    trace = ExtractionTrace()
+    fam = find_paths_flex(g, 0, 1, 3, trace=trace)
+    assert trace.branches[-1] == "single-y-2conn"
+    cert = certify.make_certificate(g, "paths", 3, fam, x=0, y=1, trace=trace)
+    assert hashlib.sha256(certify.to_json(cert).encode()).hexdigest() == SINGLE_Y_2CONN_SHA256
 
 
 def _emitted_tags(path):

@@ -71,6 +71,12 @@ def find_core(g, x, y):
     default node budget, one frame's children at a time, and
     BudgetExceeded is raised once the count passes it.
 
+    The common neighborhood only shrinks as S grows, so a frame whose S
+    has fewer than |S| + 1 common neighbors is dead: no child can reach
+    |T| >= |S|.  A dead frame is entered and charged like any other, but
+    tests no child; at the last level, |S| + 1 = (n - 1) // 2, it returns
+    as soon as it is charged, and an inner one only walks on.
+
     Precondition, not checked here: (G, x, y) is rooted 2-connected.  The
     path engine establishes it before it asks for a core.
     """
@@ -119,6 +125,13 @@ def find_core(g, x, y):
         charged += last - start
         if charged > budget:
             raise BudgetExceeded(f"core search exceeded {budget} subsets")
+        if common.bit_count() < size:
+            # dead: T(S + v) lies in T(S), too small for any child; only the
+            # walk below (charged as every frame is) is left to do
+            if size < max_size:
+                for i in range(start, last):
+                    walk(i + 1, s_mask | bits[i], common & masks[i], size + 1)
+            return
         for i in range(start, last):
             child = common & masks[i]
             if child.bit_count() >= size:

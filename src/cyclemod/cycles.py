@@ -94,13 +94,16 @@ def oracle_cycles(g, k):
     return None if fam is None else validate_cycle_family(g, fam)
 
 
-def _oracle_cycles(g, k, bipartite):
+def _oracle_cycles(g, k, bipartite, adj=None):
     """oracle_cycles(g, k), given whether g is bipartite, unvalidated: the
-    caller validates the family."""
+    caller validates the family.  `adj` holds the adjacency bitmasks of g
+    when the caller has them; otherwise they are built once g is known to
+    have a cycle."""
     shortest = _girth(g, bipartite)
     if shortest is None:
         return None
-    adj = adj_masks(g)
+    if adj is None:
+        adj = adj_masks(g)
     budget = default_budget()
     nodes = 0
     found = {}  # length -> first cycle of that length, or None
@@ -314,11 +317,12 @@ def _glue_sides(g, k, l, phi, a_verts, b_verts, x, y, trace):
 # -- branch II: 3-connected with an odd-cycle witness -------------------------
 
 
-def _branch_ii(g, k, trace):
+def _branch_ii(g, k, trace, adj):
     """k >= 2 cycles of consecutive lengths or satisfying the length
     condition in a 3-connected non-bipartite graph that find_k_cycles has
     checked and sent here: from an edge for k = 2, else fanned around a
-    non-separating induced odd cycle."""
+    non-separating induced odd cycle.  `adj` holds the adjacency bitmasks
+    of g, for the oracle fallback."""
     if k == 2:
         fam = _two_cycles_from_edge(g, trace)
     else:
@@ -331,14 +335,15 @@ def _branch_ii(g, k, trace):
             fam = _long_witness(g, k, w.cycle, trace)
     if fam is not None:
         return fam
-    fam = _from_oracle(g, k, False, trace, "oracle-fallback")
+    fam = _from_oracle(g, k, False, adj, trace, "oracle-fallback")
     trace.constructive_gap = True
     return fam
 
 
-def _from_oracle(g, k, bipartite, trace, tag):
-    """oracle_cycles(g, k), given whether g is bipartite, recorded under `tag`."""
-    fam = _oracle_cycles(g, k, bipartite)
+def _from_oracle(g, k, bipartite, adj, trace, tag):
+    """oracle_cycles(g, k), given whether g is bipartite and its adjacency
+    bitmasks, recorded under `tag`."""
+    fam = _oracle_cycles(g, k, bipartite, adj)
     if fam is None:
         raise HypothesisNotMet(f"no family of {k} cycles exists at all")
     trace.record(tag)
@@ -520,9 +525,11 @@ def branch_of(g):
 
 
 def _classify(g):
-    """(branch_of(g), separations): for branch I on n >= 4 vertices the
-    2-separations of g in two_separations order, resumed from the scan that
-    found the first one; otherwise no separations.
+    """(branch_of(g), separations, adj): for branch I on n >= 4 vertices
+    the 2-separations of g in two_separations order, resumed from the scan
+    that found the first one, otherwise no separations; and the adjacency
+    bitmasks of g, built once for the contraction certificate and handed
+    on to the oracle search (None when n < 4).
 
     On n >= 4 vertices g is 3-connected exactly when it has no
     2-separation.  _contracts_to_k4 proves that for most 3-connected graphs
@@ -530,13 +537,14 @@ def _classify(g):
     deg(x), deg(y) >= 3 (its docstring has the proof); the scan decides
     every graph it leaves undecided."""
     if g.n < 4:
-        return "I", iter(())
-    if not _contracts_to_k4(g):
+        return "I", iter(()), None
+    adj = adj_masks(g)
+    if not _contracts_to_k4(g, adj):
         separations = two_separations(g)
         first = next(separations, None)
         if first is not None:
-            return "I", chain((first,), separations)
-    return ("II" if _coloring(g) is None else "III"), iter(())
+            return "I", chain((first,), separations), adj
+    return ("II" if _coloring(g) is None else "III"), iter(()), adj
 
 
 def find_k_cycles(g, k, trace=None):
@@ -548,7 +556,7 @@ def find_k_cycles(g, k, trace=None):
         trace = ExtractionTrace()
     if k < 1:
         raise InvalidArgument("k must be positive")
-    branch, separations = _classify(g)
+    branch, separations, adj = _classify(g)
     # branches II and III are 3-connected, hence 2-connected
     if branch == "I" and not is_2_connected(g):
         raise HypothesisNotMet("need a 2-connected graph")
@@ -562,10 +570,10 @@ def find_k_cycles(g, k, trace=None):
     elif branch == "I":
         fam = _branch_i(g, k, separations, trace)
     elif branch == "II":
-        fam = _branch_ii(g, k, trace)
+        fam = _branch_ii(g, k, trace, adj)
     else:
         # by design, not counted as a constructive gap
-        fam = _from_oracle(g, k, True, trace, BRANCH_BIPARTITE)
+        fam = _from_oracle(g, k, True, adj, trace, BRANCH_BIPARTITE)
     if fam.k != k:
         raise InvalidWitness(f"expected {k} cycles, produced {fam.k}")
     return validate_cycle_family(g, fam), branch

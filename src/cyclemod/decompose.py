@@ -31,7 +31,11 @@ class Separation2:
 
 
 def _biconnected_edge_components(g):
-    """Edge sets of the biconnected components (iterative low-link DFS)."""
+    """Edge sets of the biconnected components (iterative low-link DFS).
+
+    Each frame keeps the height of the edge stack at the moment its tree
+    edge (grandparent, parent) was pushed; a block closed at that edge is
+    the stack above that height, cut off in time proportional to the block."""
     visited = set()
     comps = []
     for start in range(g.n):
@@ -41,9 +45,9 @@ def _biconnected_edge_components(g):
         low = {start: 0}
         visited.add(start)
         edge_stack = []
-        stack = [(start, start, iter(sorted(g.adj[start])))]
+        stack = [(start, start, iter(sorted(g.adj[start])), 0)]
         while stack:
-            grandparent, parent, children = stack[-1]
+            grandparent, parent, children, height = stack[-1]
             child = next(children, None)
             if child is not None:
                 if child == grandparent:
@@ -55,20 +59,18 @@ def _biconnected_edge_components(g):
                 else:
                     low[child] = discovery[child] = len(discovery)
                     visited.add(child)
-                    stack.append((parent, child, iter(sorted(g.adj[child]))))
+                    stack.append((parent, child, iter(sorted(g.adj[child])), len(edge_stack)))
                     edge_stack.append((parent, child))
                 continue
             stack.pop()
             if len(stack) > 1:
                 if low[parent] >= discovery[grandparent]:
-                    ind = edge_stack.index((grandparent, parent))
-                    comps.append(tuple(edge_stack[ind:]))
-                    del edge_stack[ind:]
+                    comps.append(tuple(edge_stack[height:]))
+                    del edge_stack[height:]
                 low[grandparent] = min(low[parent], low[grandparent])
             elif stack:
-                ind = edge_stack.index((start, parent))
-                comps.append(tuple(edge_stack[ind:]))
-                del edge_stack[ind:]
+                comps.append(tuple(edge_stack[height:]))
+                del edge_stack[height:]
     return comps
 
 
@@ -208,7 +210,7 @@ def two_separations(g):
             yield Separation2(a=tuple(sorted(a_side)), b=tuple(sorted(b_side)), cut=(u, v))
 
 
-def _contracts_to_k4(g):
+def _contracts_to_k4(g, masks):
     """True when contracting edges of G, both ends of degree >= 3 each
     time, reaches a graph H with 2 * delta(H) > |H| (K4 at the latest):
     then G is 3-connected.  False means undecided, never "not 3-connected".
@@ -231,12 +233,14 @@ def _contracts_to_k4(g):
     it (on some cubic graphs): contract the smallest vertex x of minimum
     degree into the neighbour y that shares the fewest neighbours with it,
     then has the lowest degree, then the smallest id.  Degrees sit in
-    bitmask buckets, so a step costs O(deg x) mask operations.
+    bitmask buckets, so a step costs O(deg x) mask operations.  The walk
+    contracts a copy of `masks`, the adjacency bitmasks of g, so the caller
+    can hand the same masks on to a later search.
     """
     n = g.n
     if n < 4:
         return False
-    adj = adj_masks(g)
+    adj = list(masks)
     deg = [len(s) for s in g.adj]
     buckets = [0] * n  # degree -> bitmask of the vertices left with it
     for v, d in enumerate(deg):
@@ -288,7 +292,7 @@ def vertex_connectivity_at_least(g, t):
         raise InvalidArgument(f"graph too small to ask about {t}-connectivity")
     if t == 2:
         return is_2_connected(g)
-    return _contracts_to_k4(g) or next(two_separations(g), None) is None
+    return _contracts_to_k4(g, adj_masks(g)) or next(two_separations(g), None) is None
 
 
 def find_2_separation(g):

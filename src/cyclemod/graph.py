@@ -23,15 +23,23 @@ class Graph:
     def __init__(self, n, edges=()):
         adj = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidArgument(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InvalidArgument(f"self-loop at {u}")
+            _check_pair(n, u, v)
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
         self._hash = None
+
+    @classmethod
+    def _of_adj(cls, adj):
+        """The graph whose adjacency is the tuple of frozensets `adj`, taken
+        as it is: the derived-graph builders below make it symmetric and
+        loop-free by construction, so no edge list is built or checked."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g._hash = None
+        return g
 
     # -- basic queries ---------------------------------------------------
 
@@ -79,15 +87,30 @@ class Graph:
     # -- derived graphs --------------------------------------------------
 
     def with_edge(self, u, v):
-        """Copy with edge uv added (no-op copy if already present)."""
-        if u == v:
-            raise InvalidArgument("cannot add a self-loop")
-        return Graph(self.n, self.edges() + [(u, v)])
+        """Copy with edge uv added (no-op copy if already present); every
+        neighborhood but those of u and v is shared with self."""
+        _check_pair(self.n, u, v)
+        return self._replace(u, v, self.adj[u] | {v}, self.adj[v] | {u})
 
     def without_edge(self, u, v):
+        """Copy with edge uv deleted, sharing neighborhoods as with_edge."""
+        _check_pair(self.n, u, v)
         if not self.has_edge(u, v):
             raise InvalidArgument(f"edge ({u},{v}) not present")
-        return Graph(self.n, [e for e in self.edges() if e != (min(u, v), max(u, v))])
+        return self._replace(u, v, self.adj[u] - {v}, self.adj[v] - {u})
+
+    def _replace(self, u, v, nbrs_u, nbrs_v):
+        adj = list(self.adj)
+        adj[u] = nbrs_u
+        adj[v] = nbrs_v
+        return Graph._of_adj(tuple(adj))
+
+
+def _check_pair(n, u, v):
+    if not (0 <= u < n and 0 <= v < n):
+        raise InvalidArgument(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise InvalidArgument(f"self-loop at {u}")
 
 
 def induced(g, s):
@@ -101,13 +124,8 @@ def induced(g, s):
         if not 0 <= v < g.n:
             raise InvalidArgument(f"vertex {v} out of range")
     inv = {o: i for i, o in enumerate(to_orig)}
-    edges = [
-        (inv[u], inv[v])
-        for u in to_orig
-        for v in g.adj[u]
-        if v in inv and u < v
-    ]
-    return Graph(len(to_orig), edges), to_orig
+    adj = tuple(frozenset(inv[v] for v in g.adj[u] if v in inv) for u in to_orig)
+    return Graph._of_adj(adj), to_orig
 
 
 def contract_set(g, s):
@@ -130,12 +148,11 @@ def contract_set(g, s):
         to_new[v] = i
     for v in s:
         to_new[v] = super_id
-    edges = set()
-    for u, v in g.edges():
-        nu, nv = to_new[u], to_new[v]
-        if nu != nv:
-            edges.add((min(nu, nv), max(nu, nv)))
-    return Graph(super_id + 1, sorted(edges)), to_new, super_id
+    # a kept vertex keeps its neighbors, members of s becoming super_id;
+    # the super-vertex gets the kept neighbors of every member
+    adj = [frozenset(to_new[w] for w in g.adj[v]) for v in kept]
+    adj.append(frozenset(to_new[w] for v in s for w in g.adj[v] if w not in s))
+    return Graph._of_adj(tuple(adj)), to_new, super_id
 
 
 def is_bipartite(g):

@@ -183,16 +183,19 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
 def _recurse_on_sub(g, sub, to_orig, a, b, k, flex, trace):
     """_recurse_on on G[verts] already built: (sub, to_orig) = induced(g, verts)."""
     inv = {v: i for i, v in enumerate(to_orig)}
-    n, extra, roots = sub.n, [], []
+    adj, roots = list(sub.adj), []
     for r in (a, b):
         if isinstance(r, tuple):
-            extra += [(inv[v], n) for v in r[0]]
-            roots.append(n)
-            n += 1
+            # a super root: a new vertex joined to each vertex of r[0]
+            attach = frozenset(inv[v] for v in r[0])
+            for v in attach:
+                adj[v] = adj[v] | {len(adj)}
+            roots.append(len(adj))
+            adj.append(attach)
         else:
             roots.append(inv[r])
-    if extra:
-        sub = Graph(n, sub.edges() + extra)
+    if len(adj) > sub.n:
+        sub = Graph._of_adj(tuple(adj))
     if not _fits(sub, roots[0], roots[1], k, flex):
         return None
     fam = _engine(sub, roots[0], roots[1], k, flex, trace)
@@ -252,14 +255,22 @@ def _engine(g, x, y, k, flex, trace):
 
 
 def _dispatch(g, x, y, k, flex, trace):
+    """One level of the recursion on (g, x, y), which the caller has made
+    rooted 2-connected: G + xy is 2-connected.  Every caller of _engine
+    guarantees it: the public entry points check it (_check_hypothesis), a
+    descent checks it first (_fits), the degree swap and the drop of xy keep
+    G + xy, and cycles._two_cycles_from_edge passes an edge xy of a
+    2-connected G.  So when xy is an edge, G = G + xy is 2-connected, and
+    the edge test comes before the 2-connectivity walk that would only
+    confirm it; the branch taken is the same either way."""
     if k == 1:
         trace.record("single-path")
         return _base_single(g, x, y)
-    if not is_2_connected(g):
-        return _split_at_end_block(g, x, y, k, flex, trace)
     if g.has_edge(x, y):
         trace.record("drop-xy-edge")
         return _engine(g.without_edge(x, y), x, y, k, flex, trace)
+    if not is_2_connected(g):
+        return _split_at_end_block(g, x, y, k, flex, trace)
     core = find_core(g, x, y)
     if core is None:
         return _case_no_core(g, x, y, k, flex, trace)

@@ -8,7 +8,15 @@ import pytest
 
 from cyclemod.errors import BudgetExceeded, HypothesisNotMet
 from cyclemod.generate import GenSpec, generate
-from cyclemod.graph import Graph, complete_bipartite, complete_graph, components, cycle_graph
+from cyclemod.graph import (
+    Graph,
+    adj_masks,
+    complete_bipartite,
+    complete_graph,
+    components,
+    cycle_graph,
+    mask_bits,
+)
 from cyclemod.core import (
     Core,
     core_paths_big_l,
@@ -166,3 +174,82 @@ def test_find_core_charges_every_enumerated_subset(monkeypatch):
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(subsets - 1))
     with pytest.raises(BudgetExceeded):
         find_core(g, 0, 1)
+
+
+# -- the walk against the walk it was before the dead-frame skip -------------
+
+
+def _find_core_by_full_walk(g, x, y):
+    """(core, charged, dead leaves): find_core's walk as it was before dead
+    frames skipped their loop, with no budget: every frame tests each
+    child's common neighborhood.  A dead leaf is a last-level frame with
+    children whose S has fewer than |S| + 1 common neighbors."""
+    adj = adj_masks(g)
+    others = [v for v in range(g.n) if v != x and v != y]
+    bits = [1 << v for v in others]
+    masks = [adj[v] for v in others]
+    last = len(others)
+    max_size = (g.n - 1) // 2
+    charged = dead_leaves = 0
+    best_key = best = None
+
+    def consider(s_mask, t_mask, size):
+        nonlocal best_key, best
+        t_size = t_mask.bit_count()
+        if best_key is not None and (size, t_size) < best_key[:2]:
+            return
+        h_mask = s_mask | t_mask
+        comp = frontier = 1 << y
+        while frontier:
+            reach = 0
+            for v in mask_bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~(h_mask | comp)
+            comp |= frontier
+        s = mask_bits(s_mask)
+        ncs = sum(1 for v in s if adj[v] & comp)
+        key = (size, t_size, comp.bit_count(), -ncs, tuple(-v for v in s))
+        if best_key is None or key > best_key:
+            best_key = key
+            best = Core(s=tuple(s), t=tuple(mask_bits(t_mask)), x=x, y=y,
+                        component_c=tuple(mask_bits(comp)))
+
+    def walk(start, s_mask, common, size):
+        nonlocal charged, dead_leaves
+        charged += last - start
+        dead_leaves += size == max_size and start < last and common.bit_count() < size
+        for i in range(start, last):
+            child = common & masks[i]
+            if child.bit_count() >= size:
+                consider(s_mask | bits[i], child, size)
+            if size < max_size:
+                walk(i + 1, s_mask | bits[i], child, size + 1)
+
+    if max_size >= 2:
+        walk(0, 1 << x, adj[x] & ~(1 << y), 2)
+    return best, charged, dead_leaves
+
+
+def _dead_frame_cases():
+    for n in range(10, 19):
+        for d in (3, 5):
+            g = generate(GenSpec(n=n, min_degree=d, seed=n))
+            for x, y in ((0, 1), (n - 1, n // 2)):
+                yield g, x, y
+    yield complete_bipartite(5, 6), 0, 1  # a core exists; x and y on one side
+
+
+def test_find_core_skips_dead_frames_with_the_same_core_and_charge(monkeypatch):
+    # the budget boundary pins the charged count: the count passes, and
+    # one less raises
+    found = 0
+    for g, x, y in _dead_frame_cases():
+        want, charged, dead_leaves = _find_core_by_full_walk(g, x, y)
+        assert dead_leaves > 0
+        found += want is not None
+        monkeypatch.setenv("CYCLEMOD_BUDGET", str(charged))
+        assert find_core(g, x, y) == want, (g.edges(), x, y)
+        monkeypatch.setenv("CYCLEMOD_BUDGET", str(charged - 1))
+        with pytest.raises(BudgetExceeded):
+            find_core(g, x, y)
+    assert found >= 2

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from cyclemod import certify, cycles, decompose
+from cyclemod import certify, cycles, decompose, oraclekern
 from cyclemod.errors import BudgetExceeded, HypothesisNotMet, InvalidWitness
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
@@ -377,7 +377,7 @@ def test_the_dispatch_scans_only_what_the_certificate_leaves_undecided(
     monkeypatch.setattr(cycles, "two_separations", counted)
     monkeypatch.setattr(cycles, "is_2_connected",
                         lambda h: walks.append(h) or decompose.is_2_connected(h))
-    assert decompose._contracts_to_k4(g) == certified
+    assert decompose._contracts_to_k4(g, adj_masks(g)) == certified
     fam, got = find_k_cycles(g, k)
     assert got == branch and fam.k == k
     assert len(scans) == (0 if certified else 1)
@@ -457,3 +457,21 @@ def test_all_residues_k5():
 def test_all_residues_even_k_rejected():
     with pytest.raises(HypothesisNotMet):
         all_residues_mod_k(complete_graph(6), 4)
+
+
+def test_a_branch_iii_request_builds_the_adjacency_masks_once(monkeypatch):
+    # _classify builds them for the contraction certificate, which contracts
+    # a copy, and the oracle search reads the same masks
+    built = []
+
+    def counted(h):
+        built.append(h)
+        return adj_masks(h)
+
+    for module in (cycles, decompose, oraclekern):
+        monkeypatch.setattr(module, "adj_masks", counted, raising=False)
+    g = complete_bipartite(4, 5)
+    fam, branch = find_k_cycles(g, 3)
+    assert branch == "III" and fam.k == 3 and built == [g]
+    masks = adj_masks(g)
+    assert decompose._contracts_to_k4(g, masks) and masks == adj_masks(g)

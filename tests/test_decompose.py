@@ -148,7 +148,7 @@ def test_two_separations_match_the_pair_scan_on_the_atlas():
     for _G, g in _atlas():
         seps = list(two_separations(g))
         assert seps == list(pair_scan_two_separations(g)), g.edges()
-        if decompose._contracts_to_k4(g):
+        if decompose._contracts_to_k4(g, graph.adj_masks(g)):
             assert seps == [] and g.n >= 4, g.edges()
             certified += 1
         checked += 1
@@ -172,7 +172,7 @@ def test_two_separations_match_the_pair_scan_on_random_graphs():
         g = _random_graph(rng)
         seps = list(two_separations(g))
         assert seps == list(pair_scan_two_separations(g)), g.edges()
-        if decompose._contracts_to_k4(g):
+        if decompose._contracts_to_k4(g, graph.adj_masks(g)):
             assert seps == [] and g.n >= 4, g.edges()
             kinds["certified"] += 1
         if g.n >= 4 and not seps:
@@ -234,7 +234,7 @@ def test_the_contraction_certificate_on_structured_families():
     for name, g in structured_graphs():
         seps = list(two_separations(g)) if g.n >= 4 else None
         three_connected += seps == []
-        if decompose._contracts_to_k4(g):
+        if decompose._contracts_to_k4(g, graph.adj_masks(g)):
             assert seps == [], name
             certified += 1
     assert certified == three_connected == 194
@@ -313,6 +313,25 @@ def test_leaf_blocks_match_the_incidence_scan():
                 assert b in blk and b in bct.cut_vertices
             for y in range(n):
                 assert feasible_end_blocks(g, y) == old_feasible_end_blocks(g, y)
+
+
+def test_a_chain_of_a_thousand_k5_blocks():
+    # K5 number i on 4i .. 4i + 4, each sharing its last vertex with the
+    # next: a ring of K5s cut open at one shared vertex, seeded relabeling
+    blocks = 1000
+    order = list(range(4 * blocks + 1))
+    random.Random(7).shuffle(order)
+    edges = [(order[4 * i + a], order[4 * i + b])
+             for i in range(blocks) for a, b in itertools.combinations(range(5), 2)]
+    g = Graph(4 * blocks + 1, edges)
+    bct = block_cut_tree(g)
+    assert len(bct.blocks) == blocks and len(bct.cut_vertices) == blocks - 1
+    assert list(bct.blocks) == sorted(tuple(sorted(b)) for b in nx.biconnected_components(_nx(g)))
+    first, last = (tuple(sorted(order[4 * i + a] for a in range(5))) for i in (0, blocks - 1))
+    assert sorted(bct.blocks[i] for i in bct.end_blocks) == sorted([first, last])
+    leaves = leaf_blocks(g)
+    assert leaves == old_end_block_scan(g)
+    assert sorted(leaves) == sorted([(first, order[4]), (last, order[4 * blocks - 4])])
 
 
 @given(connected_graphs)

@@ -73,6 +73,81 @@ def test_contract_set_merges_parallel_edges():
     assert h.has_edge(to_new[0], s) and h.has_edge(to_new[3], s)
 
 
+# -- derived graphs against the graph rebuilt from an edge list --------------
+
+
+def _derived_corpus():
+    """Every atlas graph with n <= 7, then seeded generated graphs with
+    n = 8..16."""
+    for G in nx.graph_atlas_g()[1:]:
+        yield _from_networkx(G)
+    for n in range(8, 17):
+        for d in (2, 3, 4):
+            yield generate(GenSpec(n=n, min_degree=d, seed=n + d))
+
+
+def _assert_rebuilt(h, n, edges):
+    want = Graph(n, edges)
+    assert h == want and h.edges() == want.edges() and hash(h) == hash(want)
+    assert all(type(nbrs) is frozenset for nbrs in h.adj)
+
+
+def test_derived_graphs_equal_the_graphs_rebuilt_from_their_edge_lists():
+    checked = 0
+    for g in _derived_corpus():
+        n, edges = g.n, g.edges()
+        for u in range(n):
+            for v in range(u + 1, n):
+                if g.has_edge(u, v):
+                    h = g.without_edge(v, u)
+                    _assert_rebuilt(h, n, [e for e in edges if e != (u, v)])
+                else:
+                    h = g.with_edge(v, u)
+                    _assert_rebuilt(h, n, edges + [(u, v)])
+                    assert g.with_edge(u, v).with_edge(u, v) == h
+                # only the neighborhoods of u and v are new
+                assert all(h.adj[w] is g.adj[w] for w in range(n) if w not in (u, v))
+        for v in range(n):
+            for s in ({v}, set(g.adj[v]) | {v}, set(range(n)) - {v} or {v}):
+                sub, to_orig = induced(g, s)
+                inv = {o: i for i, o in enumerate(to_orig)}
+                assert to_orig == sorted(s)
+                _assert_rebuilt(sub, len(s), [(inv[a], inv[b]) for a, b in edges
+                                              if a in inv and b in inv])
+                h, to_new, super_id = contract_set(g, s)
+                assert super_id == n - len(s) and all(to_new[w] == super_id for w in s)
+                merged = {tuple(sorted((to_new[a], to_new[b]))) for a, b in edges
+                          if to_new[a] != to_new[b]}
+                _assert_rebuilt(h, super_id + 1, sorted(merged))
+        checked += 1
+    assert checked == 1252 + 9 * 3
+
+
+def test_derived_graphs_check_their_input():
+    g = cycle_graph(5)
+    for u, v in ((0, 5), (5, 0), (-1, 2), (2, -1)):
+        with pytest.raises(InvalidArgument):
+            g.with_edge(u, v)
+        with pytest.raises(InvalidArgument):
+            g.without_edge(u, v)
+    for v in (0, 4):
+        with pytest.raises(InvalidArgument):
+            g.with_edge(v, v)
+        with pytest.raises(InvalidArgument):
+            g.without_edge(v, v)
+    with pytest.raises(InvalidArgument):
+        g.without_edge(0, 2)  # no such edge
+    for s in ({0, 5}, {-1}):
+        with pytest.raises(InvalidArgument):
+            induced(g, s)
+        with pytest.raises(InvalidArgument):
+            contract_set(g, s)
+    with pytest.raises(InvalidArgument):
+        contract_set(g, set())
+    # a failed call leaves g as it was
+    assert g == cycle_graph(5)
+
+
 def test_bipartite_detection():
     assert is_bipartite(complete_bipartite(2, 3)) is not None
     assert is_bipartite(cycle_graph(5)) is None

@@ -5,8 +5,11 @@ import itertools
 import networkx as nx
 import pytest
 
+from cyclemod import paths
+from cyclemod.cycles import find_k_cycles
 from cyclemod.errors import HypothesisNotMet
-from cyclemod.graph import Graph, complete_graph
+from cyclemod.generate import GenSpec, generate
+from cyclemod.graph import Graph, complete_graph, induced
 from cyclemod.decompose import is_rooted_2_connected
 from cyclemod.families import LENGTH, SEMI, validate_path_family
 from cyclemod.oraclekern import path_length_set
@@ -113,3 +116,56 @@ def test_recurse_on_lifts_a_super_root_and_refuses_k_below_one():
     assert fam.members[0][1] in (2, 3)
     # k - l <= 0 in _block_to_t must decline, not recurse
     assert _recurse_on(g, {2, 3, 4, 5}, sup, 5, 0, False, ExtractionTrace()) is None
+
+
+def _super_root_requests():
+    """(g, verts, a, b): G[verts] with zero, one or two super roots, on the
+    2-connected atlas graphs with n <= 7 and generated graphs with n = 8..16."""
+    corpus = [g for n in range(3, 8) for g in two_connected_graphs(n)]
+    corpus += [generate(GenSpec(n=n, min_degree=3, seed=n)) for n in range(8, 17)]
+    for g in corpus:
+        for v in range(g.n):
+            verts = sorted(set(range(g.n)) - {v})
+            near = sorted(g.adj[v])
+            far = [w for w in verts if w not in g.adj[v]] or verts
+            yield g, verts, verts[0], verts[-1]
+            yield g, verts, (near, {v}), far[-1]
+            yield g, verts, far[0], (near, {v})
+            yield g, verts, (near[:1], {v}), (near[1:], {v})
+
+
+def test_the_super_root_graph_equals_the_graph_rebuilt_from_its_edge_list(monkeypatch):
+    built = []
+    monkeypatch.setattr(paths, "_fits", lambda aux, ax, ay, k, flex: built.append(aux) and False)
+    super_roots = set()
+    for g, verts, a, b in _super_root_requests():
+        built.clear()
+        assert paths._recurse_on(g, verts, a, b, 2, False, ExtractionTrace()) is None
+        sub, to_orig = induced(g, verts)
+        inv = {w: i for i, w in enumerate(to_orig)}
+        n, extra = sub.n, []
+        for r in (a, b):
+            if isinstance(r, tuple):
+                extra += [(inv[w], n) for w in r[0]]
+                n += 1
+        want = Graph(n, sub.edges() + extra)
+        (got,) = built
+        assert got == want and got.edges() == want.edges(), (g.edges(), verts, a, b)
+        super_roots.add(n - sub.n)
+    assert super_roots == {0, 1, 2}
+
+
+def test_a_graph_that_holds_xy_gets_no_2_connectivity_walk(monkeypatch):
+    # every caller of the engine makes G + xy 2-connected, so the dispatch
+    # walks no graph in which xy is an edge; it walks G - xy after the drop
+    walked = []
+    walk = paths.is_2_connected
+    monkeypatch.setattr(paths, "is_2_connected", lambda h: walked.append(h) or walk(h))
+    g = generate(GenSpec(n=12, min_degree=4, connectivity=3, seed=3))
+    fam, branch = find_k_cycles(g, 2)
+    assert branch == "II" and fam.k == 2
+    assert walked and g not in walked
+    walked.clear()
+    x, y = g.edges()[0]
+    find_paths_flex(g, x, y, 2)
+    assert g not in walked and g.without_edge(x, y) in walked

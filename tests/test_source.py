@@ -74,6 +74,23 @@ def test_one_copy_of_the_3_connectivity_certificate():
     assert callers == {"cycles._classify", "decompose.vertex_connectivity_at_least"}
 
 
+def test_no_graph_is_rebuilt_from_another_graphs_edge_list():
+    # derived graphs build their adjacency tuple directly (graph.Graph._of_adj);
+    # smallgraphs.py reads networkx graphs, whose .edges() is no Graph's
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "smallgraphs.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Graph"
+                    and any(isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "edges"
+                            for arg in node.args + [kw.value for kw in node.keywords]
+                            for c in ast.walk(arg))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Graph(...) built from another graph's edges(): {found}"
+
+
 def _identifier_references(tree):
     """Names a module reads: loaded names, attributes, imported names, and
     string constants that are a dotted identifier (perfbench/tracing.py

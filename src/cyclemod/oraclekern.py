@@ -4,8 +4,12 @@ that materialize one path or cycle of a given length.
 
 These are the hot loops of the oracle layer, in pure Python, on
 arbitrary-width int adjacency bitmasks (any n):
-- the path lengths come from a depth-first search over every simple path,
-  one node per step;
+- the path lengths come from a depth-first search over every simple path
+  from x that avoids y: one node per vertex entered, and one more for
+  each entered vertex adjacent to y, whose single test records the path
+  on to y, so y itself is never entered; a vertex with no untried
+  neighbour gets no stack frame.  That is one node per step of a search
+  that enters y as a leaf;
 - the cycle spectrum comes from a Bellman/Held-Karp subset DP, one set
   size at a time, in O(2^n * n * max degree): one node per (vertex set,
   end vertex) expansion and one per edge relaxation; the library's cycle
@@ -18,14 +22,16 @@ arbitrary-width int adjacency bitmasks (any n):
   so that a series of searches shares one budget.
 Every search counts its nodes against a budget (default 10**7, override
 with the CYCLEMOD_BUDGET environment variable) and raises BudgetExceeded
-rather than returning a partial answer.
+rather than returning a partial answer: the partial length mask of a
+truncated path search is never returned.  The public functions reject a
+root that is not a vertex of g with InvalidArgument before any search.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidArgument
 from .graph import adj_masks, mask_bits
 
 DEFAULT_BUDGET = 10**7
@@ -47,33 +53,57 @@ def using_numba():
 
 
 def _path_lengths_py(adj, x, y, budget):
-    """(bitmask of realizable simple x-y path lengths, nodes, truncated)."""
+    """(bitmask of realizable simple x-y path lengths, nodes, truncated).
+
+    A depth-first search over the simple paths from x that avoid y.
+    Entering a vertex v at depth d charges one node, and one more when v
+    is adjacent to y: that one test records the length d + 1 of the path
+    through v to y, so y never enters a frame.  A frame holds the untried
+    neighbours of the path's last vertex with the path's vertex mask, so
+    backtracking is a pop; a frame leaves the stack with its last
+    candidate, and a vertex with no untried neighbour gets no frame.  The
+    charge is one node per step of the search that enters y as a leaf, so
+    a finished call returns that search's mask and count.  An overrun
+    returns budget + 1 nodes with a partial mask, which path_length_set
+    never returns.  When x == y, the mask is empty and the nodes count
+    the simple paths from x."""
+    ybit = 1 << y if x != y else 0
     lengths = 0
     nodes = 0
-    visited = 1 << x
-    stack_v = [x]
-    stack_rem = [adj[x]]
-    while stack_v:
-        rem = stack_rem[-1]
-        if rem == 0:
-            visited &= ~(1 << stack_v[-1])
-            stack_v.pop()
-            stack_rem.pop()
-            continue
-        b = rem & -rem
-        stack_rem[-1] = rem & ~b
-        v = b.bit_length() - 1
-        nodes += 1
+    path = 1 << x
+    a = adj[x]
+    if a & ybit:
+        lengths = 2
+        nodes = 1
         if nodes > budget:
             return lengths, nodes, True
-        if v == y:
-            lengths |= 1 << len(stack_v)
-            continue
-        if visited & b:
-            continue
-        visited |= b
-        stack_v.append(v)
-        stack_rem.append(adj[v] & ~visited)
+    a &= ~(path | ybit)
+    rems = [a] if a else []
+    paths = [path] if a else []
+    while rems:
+        rem = rems[-1]
+        b = rem & -rem
+        path = paths[-1]
+        if rem == b:
+            rems.pop()
+            paths.pop()
+        else:
+            rems[-1] = rem ^ b
+        a = adj[b.bit_length() - 1]
+        if a & ybit:
+            # the path's vertex count is the depth of b
+            lengths |= 2 << path.bit_count()
+            nodes += 2
+        else:
+            nodes += 1
+        # an overrun reports the first node past the budget
+        if nodes > budget:
+            return lengths, budget + 1, True
+        path |= b
+        a &= ~(path | ybit)
+        if a:
+            rems.append(a)
+            paths.append(path)
     return lengths, nodes, False
 
 
@@ -117,8 +147,14 @@ def _cycle_lengths_py(adj, n, budget):
     return lengths, nodes, False
 
 
+def _check_roots(g, x, y):
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise InvalidArgument(f"roots ({x}, {y}) must be vertices of g (n={g.n})")
+
+
 def path_length_set(g, x, y, budget=None):
     """Exact set of lengths of simple (x, y)-paths in g."""
+    _check_roots(g, x, y)
     if budget is None:
         budget = default_budget()
     mask, _nodes, truncated = _path_lengths_py(adj_masks(g), x, y, budget)
@@ -187,6 +223,7 @@ def find_path_with_length(g, x, y, length):
     """First (lex by neighbor order) simple (x, y)-path with exactly
     `length` edges, or None.  One node per extension is counted against the
     default budget; a missing length explores every simple path."""
+    _check_roots(g, x, y)
     return _first_path(adj_masks(g), x, y, length, default_budget(), 0)[0]
 
 

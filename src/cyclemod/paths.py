@@ -115,8 +115,10 @@ def oracle_paths(g, x, y, k, flex=False):
 
     Independent of the constructive engine: enumerates the exact set of
     (x, y)-path lengths, finds the first admissible pattern, and realizes
-    one witness per length.
+    one witness per length.  Raises InvalidArgument, before any search,
+    unless k >= 1 and x, y are two distinct vertices of g.
     """
+    _check_request(g, x, y, k)
     lengths = path_length_set(g, x, y)
     hit = find_pattern(lengths, k, flex)
     if hit is None:
@@ -143,11 +145,15 @@ def _budget(k, flex):
     return 2 * k - 1 if flex else 2 * k
 
 
-def _check_hypothesis(g, x, y, k, flex):
+def _check_request(g, x, y, k):
     if k < 1:
         raise InvalidArgument("k must be positive")
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise InvalidArgument("roots must be two distinct vertices of g")
+
+
+def _check_hypothesis(g, x, y, k, flex):
+    _check_request(g, x, y, k)
     if not is_rooted_2_connected(g, x, y):
         raise NotRooted2Connected("adding the edge xy must leave a 2-connected graph")
     if g.rooted_min_degree(x, y) < _budget(k, flex):

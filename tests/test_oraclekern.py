@@ -1,7 +1,8 @@
-"""The cycle-spectrum kernel against the depth-first search it replaced,
-its node budget, and the inputs that only the subset DP can afford; the
-bitmask witness searches against the set-based recursive searches they
-replaced, node for node."""
+"""The path-length kernel against the loop it replaced, node for node; the
+cycle-spectrum kernel against the depth-first search it replaced, its node
+budget, and the inputs that only the subset DP can afford; the bitmask
+witness searches against the set-based recursive searches they replaced,
+node for node."""
 
 import networkx as nx
 import pytest
@@ -16,12 +17,92 @@ from cyclemod.oraclekern import (
     _cycle_lengths_py,
     _first_cycle,
     _first_path,
+    _path_lengths_py,
     cycle_length_set,
     find_cycle_with_length,
     find_path_with_length,
+    path_length_set,
 )
 from cyclemod.paths import ExtractionTrace
 from cyclemod.smallgraphs import connected_graphs
+
+
+def _path_lengths_dfs(adj, x, y, budget):
+    """(bitmask of realizable simple x-y path lengths, nodes, truncated):
+    one node per step, y entered as a leaf; the loop _path_lengths_py
+    replaced."""
+    lengths = 0
+    nodes = 0
+    visited = 1 << x
+    stack_v = [x]
+    stack_rem = [adj[x]]
+    while stack_v:
+        rem = stack_rem[-1]
+        if rem == 0:
+            visited &= ~(1 << stack_v[-1])
+            stack_v.pop()
+            stack_rem.pop()
+            continue
+        b = rem & -rem
+        stack_rem[-1] = rem & ~b
+        v = b.bit_length() - 1
+        nodes += 1
+        if nodes > budget:
+            return lengths, nodes, True
+        if v == y:
+            lengths |= 1 << len(stack_v)
+            continue
+        if visited & b:
+            continue
+        visited |= b
+        stack_v.append(v)
+        stack_rem.append(adj[v] & ~visited)
+    return lengths, nodes, False
+
+
+def assert_same_path_lengths(g, pairs):
+    adj = adj_masks(g)
+    for x, y in pairs:
+        want = _path_lengths_dfs(adj, x, y, DEFAULT_BUDGET)
+        assert not want[2]
+        assert _path_lengths_py(adj, x, y, DEFAULT_BUDGET) == want, (g.edges(), x, y)
+
+
+def test_path_lengths_match_the_loop_on_the_atlas():
+    count = 0
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert_same_path_lengths(g, [(x, y) for x in range(n) for y in range(x, n)])
+            count += 1
+    assert count == 996
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+@pytest.mark.parametrize("n", range(8, 13))
+def test_path_lengths_match_the_loop_on_generated_graphs(n, bipartite):
+    g = generate(GenSpec(n=n, min_degree=3, bipartite=bipartite, seed=0))
+    assert_same_path_lengths(g, [(0, n - 1), (n - 1, 0), (1, 2), (3, 3)])
+
+
+def test_truncated_path_searches_agree_on_the_node_count():
+    for g, x, y in [(complete_graph(6), 0, 5), (circulant(9, (1, 3)), 0, 4),
+                    (circulant(9, (1, 3)), 2, 2)]:
+        adj = adj_masks(g)
+        spent = _path_lengths_dfs(adj, x, y, DEFAULT_BUDGET)[1]
+        for budget in {*range(1, spent, 7), spent - 1, spent, spent + 1}:
+            got = _path_lengths_py(adj, x, y, budget)
+            assert got[1:] == _path_lengths_dfs(adj, x, y, budget)[1:], (x, y, budget)
+            assert got[1:] == ((budget + 1, True) if budget < spent else (spent, False))
+
+
+def test_path_length_set_passes_at_its_budget_and_raises_below(monkeypatch):
+    g = circulant(9, (1, 3))
+    lengths, spent, _ = _path_lengths_dfs(adj_masks(g), 0, 4, DEFAULT_BUDGET)
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent))
+    assert path_length_set(g, 0, 4) == {v for v in range(g.n) if lengths >> v & 1}
+    monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent - 1))
+    with pytest.raises(BudgetExceeded):
+        path_length_set(g, 0, 4)
 
 
 def _cycle_lengths_dfs(adj, n, budget):

@@ -5,14 +5,14 @@ import itertools
 import networkx as nx
 import pytest
 
-from cyclemod import paths
+from cyclemod import oraclekern, paths
 from cyclemod.cycles import find_k_cycles
-from cyclemod.errors import HypothesisNotMet
+from cyclemod.errors import HypothesisNotMet, InvalidArgument
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_graph, induced
 from cyclemod.decompose import is_rooted_2_connected
 from cyclemod.families import LENGTH, SEMI, validate_path_family
-from cyclemod.oraclekern import path_length_set
+from cyclemod.oraclekern import find_path_with_length, path_length_set
 from cyclemod.paths import (
     ExtractionTrace,
     _recurse_on,
@@ -37,12 +37,35 @@ def test_find_pattern():
 def test_path_length_set_frozen_values():
     assert path_length_set(complete_graph(4), 0, 1) == {1, 2, 3}
     assert path_length_set(complete_graph(5), 0, 1) == {1, 2, 3, 4}
+    assert path_length_set(complete_graph(5), 2, 2) == set()
 
 
 def test_oracle_paths_k5():
     fam = oracle_paths(complete_graph(5), 0, 1, 2)
     assert fam.cls.kind == LENGTH
     assert fam.lengths() == [2, 4]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: oracle_paths(g, 9, 0, 2),
+    lambda g: oracle_paths(g, 0, 9, 2),
+    lambda g: oracle_paths(g, -1, 0, 2),
+    lambda g: oracle_paths(g, 0, 1, 0),
+    lambda g: oracle_paths(g, 0, 0, 2),
+    lambda g: path_length_set(g, 9, 0),
+    lambda g: path_length_set(g, -1, 0),
+    lambda g: find_path_with_length(g, 9, 0, 2),
+    lambda g: find_path_with_length(g, -1, 0, 2),
+], ids=["oracle-root-9", "oracle-y-9", "oracle-root-negative", "oracle-k-0", "oracle-x-is-y",
+        "lengths-root-9", "lengths-root-negative", "witness-root-9", "witness-root-negative"])
+def test_bad_oracle_arguments_raise_before_any_search(monkeypatch, call):
+    def no_search(*args):
+        raise AssertionError("searched before checking the arguments")
+
+    monkeypatch.setattr(oraclekern, "_path_lengths_py", no_search)
+    monkeypatch.setattr(oraclekern, "_first_walk", no_search)
+    with pytest.raises(InvalidArgument):
+        call(complete_graph(5))
 
 
 def test_oracle_agrees_with_networkx_enumeration():

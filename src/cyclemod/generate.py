@@ -47,6 +47,7 @@ def satisfies(g, spec):
 
 
 def _sample(rng, spec):
+    """The edge list of one random draw for spec."""
     n = spec.n
     # edge probability aimed a little above the degree target
     lo = min(0.95, (spec.min_degree + 1) / max(1, n - 1))
@@ -54,21 +55,28 @@ def _sample(rng, spec):
     if spec.bipartite:
         left_size = rng.randint(max(1, spec.min_degree), n - max(1, spec.min_degree))
         left = set(rng.sample(range(n), left_size))
-        edges = [
+        return [
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
             if ((u in left) != (v in left)) and rng.random() < p
         ]
-    else:
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
-    return Graph(n, edges)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def _reaches_min_degree(n, edges, d):
+    """Does every one of the n vertices meet at least d of the edges?"""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return min(degree) >= d
 
 
 def generate(spec, max_tries=2000):
-    """A graph satisfying spec, deterministic per spec (including seed)."""
+    """A graph satisfying spec, deterministic per spec (including seed).
+    A draw short of the minimum degree is rejected before a Graph is built;
+    satisfies checks every other draw in full."""
     limit = spec.n - 1
     if spec.bipartite:
         limit = spec.n // 2
@@ -76,7 +84,10 @@ def generate(spec, max_tries=2000):
         raise GenerationInfeasible(f"no graph on {spec.n} vertices meets {spec}")
     rng = random.Random(repr(spec))
     for _ in range(max_tries):
-        g = _sample(rng, spec)
+        edges = _sample(rng, spec)
+        if not _reaches_min_degree(spec.n, edges, spec.min_degree):
+            continue
+        g = Graph(spec.n, edges)
         if satisfies(g, spec):
             return g
     raise GenerationInfeasible(f"gave up after {max_tries} samples for {spec}")

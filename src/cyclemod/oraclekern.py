@@ -7,9 +7,10 @@ arbitrary-width int adjacency bitmasks (any n):
 - the path lengths come from a depth-first search over every simple path
   from x that avoids y: one node per vertex entered, and one more for
   each entered vertex adjacent to y, whose single test records the path
-  on to y, so y itself is never entered; a vertex with no untried
-  neighbour gets no stack frame.  That is one node per step of a search
-  that enters y as a leaf;
+  on to y, so y itself is never entered.  y is cut out of the neighbour
+  masks once per call, the current frame lives in locals, and only a
+  suspended frame with an untried neighbour goes on the stack.  That is
+  one node per step of a search that enters y as a leaf;
 - the cycle spectrum comes from a Bellman/Held-Karp subset DP, one set
   size at a time, in O(2^n * n * max degree): one node per (vertex set,
   end vertex) expansion and one per edge relaxation; the library's cycle
@@ -19,7 +20,8 @@ arbitrary-width int adjacency bitmasks (any n):
   vertex s through vertices above s, a path ends at y and never passes
   through y.  It extends neighbors lowest id first, one node per
   extension; a search can go on counting from where earlier ones stopped,
-  so that a series of searches shares one budget.
+  so that a series of searches shares one budget.  A length that no
+  simple path or cycle of the graph can have returns None with no search.
 Every search counts its nodes against a budget (default 10**7, override
 with the CYCLEMOD_BUDGET environment variable) and raises BudgetExceeded
 rather than returning a partial answer: the partial length mask of a
@@ -55,56 +57,62 @@ def using_numba():
 def _path_lengths_py(adj, x, y, budget):
     """(bitmask of realizable simple x-y path lengths, nodes, truncated).
 
-    A depth-first search over the simple paths from x that avoid y.
-    Entering a vertex v at depth d charges one node, and one more when v
-    is adjacent to y: that one test records the length d + 1 of the path
-    through v to y, so y never enters a frame.  A frame holds the untried
-    neighbours of the path's last vertex with the path's vertex mask, so
-    backtracking is a pop; a frame leaves the stack with its last
-    candidate, and a vertex with no untried neighbour gets no frame.  The
-    charge is one node per step of the search that enters y as a leaf, so
-    a finished call returns that search's mask and count.  An overrun
-    returns budget + 1 nodes with a partial mask, which path_length_set
-    never returns.  When x == y, the mask is empty and the nodes count
-    the simple paths from x."""
-    ybit = 1 << y if x != y else 0
+    A depth-first search over the simple paths from x that avoid y, on
+    neighbour masks with y cut out once per call and on the mask `near` of
+    the vertices adjacent to y.  Entering a vertex v at depth d charges one
+    node, and one more when v is in `near`: that one test records the
+    length d + 1 of the path through v to y, so y is never entered.  The
+    current frame (untried neighbours, path mask, depth) lives in locals;
+    a descent suspends the parent on the stack only while it still has an
+    untried neighbour, and a vertex with no untried neighbour gets no
+    frame.  The charge is one node per step of the search that enters y as
+    a leaf, so a finished call returns that search's mask and count.  An
+    overrun returns budget + 1 nodes with a partial mask, which
+    path_length_set never returns.  When x == y, nothing is cut, the mask
+    is empty and the nodes count the simple paths from x.  `adj` is left
+    unchanged."""
+    if x != y:
+        cut = ~(1 << y)
+        masks = [a & cut for a in adj]
+        near = adj[y]
+    else:
+        masks = adj
+        near = 0
     lengths = 0
     nodes = 0
-    path = 1 << x
-    a = adj[x]
-    if a & ybit:
+    if near >> x & 1:
         lengths = 2
         nodes = 1
         if nodes > budget:
             return lengths, nodes, True
-    a &= ~(path | ybit)
-    rems = [a] if a else []
-    paths = [path] if a else []
-    while rems:
-        rem = rems[-1]
-        b = rem & -rem
-        path = paths[-1]
-        if rem == b:
-            rems.pop()
-            paths.pop()
-        else:
-            rems[-1] = rem ^ b
-        a = adj[b.bit_length() - 1]
-        if a & ybit:
-            # the path's vertex count is the depth of b
-            lengths |= 2 << path.bit_count()
-            nodes += 2
-        else:
-            nodes += 1
-        # an overrun reports the first node past the budget
-        if nodes > budget:
-            return lengths, budget + 1, True
-        path |= b
-        a &= ~(path | ybit)
-        if a:
-            rems.append(a)
-            paths.append(path)
-    return lengths, nodes, False
+    rem = masks[x]
+    path = 1 << x
+    depth = 1
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    while True:
+        while rem:
+            b = rem & -rem
+            rem ^= b
+            if b & near:
+                lengths |= 2 << depth
+                nodes += 2
+            else:
+                nodes += 1
+            # an overrun reports the first node past the budget
+            if nodes > budget:
+                return lengths, budget + 1, True
+            a = masks[b.bit_length() - 1] & ~path
+            if a:
+                if rem:
+                    push((rem, path, depth))
+                rem = a
+                path |= b
+                depth += 1
+        if not stack:
+            return lengths, nodes, False
+        rem, path, depth = pop()
 
 
 def _cycle_lengths_py(adj, n, budget):
@@ -230,9 +238,12 @@ def find_path_with_length(g, x, y, length):
 def _first_path(adj, x, y, length, budget, nodes):
     """(first simple (x, y)-path with exactly `length` edges or None, nodes),
     on the adjacency bitmasks `adj`; the path never passes through y.
-    Counts nodes as _first_cycle does."""
+    Counts nodes as _first_cycle does; a length outside 1 ... n - 1
+    charges none."""
     if length == 0 or x == y:
         return ((x,) if length == 0 and x == y else None), nodes
+    if not 0 < length < len(adj):
+        return None, nodes
     path, nodes, truncated = _first_walk(adj, x, length, 1 << y, 1 << y, 1 << x, budget, nodes)
     if truncated:
         raise BudgetExceeded(f"path search exceeded {budget} nodes")
@@ -252,8 +263,9 @@ def _first_cycle(adj, length, budget, nodes):
     Each cycle is found from its smallest vertex s, through vertices above
     s and back to s.  `nodes` counts what earlier searches drawing on the
     same `budget` have spent; this search adds one node per extension and
-    raises BudgetExceeded once the total passes the budget."""
-    if length < 3:
+    raises BudgetExceeded once the total passes the budget; a length
+    outside 3 ... n charges none."""
+    if not 3 <= length <= len(adj):
         return None, nodes
     for s in range(len(adj)):
         cycle, nodes, truncated = _first_walk(adj, s, length - 1, adj[s], 0, (2 << s) - 1,

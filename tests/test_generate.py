@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclemod.errors import GenerationInfeasible
 from cyclemod.generate import GenSpec, _sample, generate, satisfies
-from cyclemod.graph import is_bipartite
+from cyclemod.graph import Graph, is_bipartite
 from cyclemod.decompose import is_2_connected, vertex_connectivity_at_least
 
 
@@ -75,10 +75,71 @@ def test_satisfies_matches_the_predicate_with_the_2_connectivity_walk():
                     spec = GenSpec(n=n, min_degree=d, connectivity=connectivity,
                                    bipartite=bipartite and 2 * d <= n)
                     for _ in range(6):
-                        g = _sample(rng, spec)
+                        g = Graph(n, _sample(rng, spec))
                         want = _satisfies_with_the_2_connectivity_walk(g, spec)
                         assert satisfies(g, spec) == want, (spec, g.edges())
                         verdicts[connectivity, want, is_2_connected(g)] += 1
     # both verdicts on 3-connectivity specs, and rejections of graphs that
     # are not even 2-connected among them
     assert verdicts[3, True, True] and verdicts[3, False, True] and verdicts[3, False, False]
+
+
+def _sample_graph(rng, spec):
+    """One random draw as a Graph, as _sample read when it built one."""
+    n = spec.n
+    lo = min(0.95, (spec.min_degree + 1) / max(1, n - 1))
+    p = rng.uniform(lo, min(1.0, lo + 0.35))
+    if spec.bipartite:
+        left_size = rng.randint(max(1, spec.min_degree), n - max(1, spec.min_degree))
+        left = set(rng.sample(range(n), left_size))
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if ((u in left) != (v in left)) and rng.random() < p
+        ]
+    else:
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+    return Graph(n, edges)
+
+
+def _generate_by_building_every_draw(spec, max_tries=2000):
+    """generate as it read when every draw was built into a Graph and
+    handed to satisfies."""
+    limit = spec.n - 1
+    if spec.bipartite:
+        limit = spec.n // 2
+    if spec.min_degree > limit or spec.connectivity > spec.n - 1:
+        raise GenerationInfeasible(f"no graph on {spec.n} vertices meets {spec}")
+    rng = random.Random(repr(spec))
+    for _ in range(max_tries):
+        g = _sample_graph(rng, spec)
+        if satisfies(g, spec):
+            return g
+    raise GenerationInfeasible(f"gave up after {max_tries} samples for {spec}")
+
+
+def _generated_edges(generator, spec, max_tries):
+    try:
+        return generator(spec, max_tries).edges()
+    except GenerationInfeasible as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("connectivity", [2, 3])
+@pytest.mark.parametrize("bipartite", [False, True])
+def test_generate_matches_the_loop_that_built_every_draw(bipartite, connectivity):
+    # every draw is the same, so is every graph and every refusal: specs no
+    # graph can meet, and give-ups after 3 or 300 draws among them
+    outcomes = Counter()
+    for n in (3, 4, 5, 6, 8, 11, 15, 20, 28, 40):
+        for d in (0, 2, 3, 5):
+            for seed, max_tries in ((0, 300), (1, 300), (2, 3)):
+                spec = GenSpec(n=n, min_degree=d, connectivity=connectivity,
+                               bipartite=bipartite, seed=seed)
+                want = _generated_edges(_generate_by_building_every_draw, spec, max_tries)
+                assert _generated_edges(generate, spec, max_tries) == want, spec
+                outcomes[type(want)] += 1
+    assert outcomes[list] and outcomes[str]

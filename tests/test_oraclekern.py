@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from cyclemod import certify
-from cyclemod.cycles import find_k_cycles
+from cyclemod.cycles import _classify, find_k_cycles
 from cyclemod.errors import BudgetExceeded
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, adj_masks, complete_graph
@@ -93,6 +93,55 @@ def test_truncated_path_searches_agree_on_the_node_count():
             got = _path_lengths_py(adj, x, y, budget)
             assert got[1:] == _path_lengths_dfs(adj, x, y, budget)[1:], (x, y, budget)
             assert got[1:] == ((budget + 1, True) if budget < spent else (spent, False))
+
+
+@pytest.mark.parametrize("min_degree", [3, 4])
+@pytest.mark.parametrize("n", range(9, 12))
+def test_truncated_path_searches_agree_on_oracle_shaped_graphs(n, min_degree):
+    # the shapes of the benchmark's oracle path requests
+    # (up to 325,705 nodes at n = 11), at budgets doubling from 1
+    g = generate(GenSpec(n=n, min_degree=min_degree, seed=n * min_degree))
+    adj = adj_masks(g)
+    spent = _path_lengths_dfs(adj, 0, n - 1, DEFAULT_BUDGET)[1]
+    for budget in {*(1 << i for i in range(spent.bit_length())), spent - 1, spent}:
+        got = _path_lengths_py(adj, 0, n - 1, budget)
+        assert got[1:] == _path_lengths_dfs(adj, 0, n - 1, budget)[1:], budget
+        assert got[1:] == ((budget + 1, True) if budget < spent else (spent, False))
+
+
+def test_path_lengths_when_y_has_no_neighbours():
+    # vertex 4 is isolated: no length, and every simple path from 0 in K4
+    adj = adj_masks(Graph(5, complete_graph(4).edges()))
+    assert _path_lengths_py(adj, 0, 4, DEFAULT_BUDGET) == (0, 15, False)
+    assert _path_lengths_py(adj, 0, 4, DEFAULT_BUDGET) == _path_lengths_dfs(adj, 0, 4, DEFAULT_BUDGET)
+
+
+def test_path_lengths_when_the_only_neighbour_of_x_is_y():
+    # vertex 4 hangs off vertex 0 of K4: the one path is the edge, one node
+    adj = adj_masks(Graph(5, complete_graph(4).edges() + [(0, 4)]))
+    assert _path_lengths_py(adj, 4, 0, DEFAULT_BUDGET) == (0b10, 1, False)
+    assert _path_lengths_py(adj, 4, 0, DEFAULT_BUDGET) == _path_lengths_dfs(adj, 4, 0, DEFAULT_BUDGET)
+    assert _path_lengths_py(adj, 4, 0, 0) == (0b10, 1, True)
+
+
+@pytest.mark.parametrize("n, paths", [(4, 3 + 6 + 6), (5, 4 + 12 + 24 + 24)])
+def test_path_lengths_from_x_to_itself_count_the_simple_paths_from_x(n, paths):
+    adj = adj_masks(complete_graph(n))
+    for x in range(n):
+        assert _path_lengths_py(adj, x, x, DEFAULT_BUDGET) == (0, paths, False)
+        assert _path_lengths_dfs(adj, x, x, DEFAULT_BUDGET) == (0, paths, False)
+
+
+def test_path_kernel_leaves_the_masks_it_is_given_unchanged():
+    # _classify hands its masks on to the oracle searches, so no search may
+    # write to them
+    g = generate(GenSpec(n=10, min_degree=4, seed=3))
+    adj = _classify(g)[2]
+    before = list(adj)
+    for x, y in [(0, 9), (9, 0), (3, 3), (1, 2)]:
+        _path_lengths_py(adj, x, y, DEFAULT_BUDGET)
+        _path_lengths_py(adj, x, y, 50)
+        assert adj == before
 
 
 def test_path_length_set_passes_at_its_budget_and_raises_below(monkeypatch):
@@ -271,18 +320,28 @@ def _outcome(search, *args):
         return BudgetExceeded
 
 
+def assert_same_witness(got, want, possible, what):
+    """Equal (witness, nodes), or both over the budget, for a length that a
+    simple path or cycle of the graph can have; for any other length, the
+    recursion finds nothing and the search returns None with no node."""
+    if possible:
+        assert got == want, what
+    else:
+        assert got == (None, 0) and (want is BudgetExceeded or want[0] is None), what
+
+
 def assert_same_witnesses(g, pairs, budget=DEFAULT_BUDGET):
-    """Equal (witness, nodes), or both over `budget`, for every length
-    1 ... n + 1: cycles, and paths between each ordered pair in `pairs`."""
+    """assert_same_witness for every length 1 ... n + 1: cycles, and paths
+    between each ordered pair in `pairs`."""
     adj = adj_masks(g)
     for length in range(1, g.n + 2):
         got = _outcome(_first_cycle, adj, length, budget, 0)
         want = _outcome(_first_cycle_by_recursion, g, length, budget, 0)
-        assert got == want, (g.edges(), length)
+        assert_same_witness(got, want, length <= g.n, (g.edges(), length))
         for x, y in pairs:
             got = _outcome(_first_path, adj, x, y, length, budget, 0)
             want = _outcome(_first_path_by_recursion, g, x, y, length, budget, 0)
-            assert got == want, (g.edges(), x, y, length)
+            assert_same_witness(got, want, length < g.n or x == y, (g.edges(), x, y, length))
 
 
 def circulant(n, steps):
@@ -311,9 +370,11 @@ def test_witness_searches_match_the_recursion_on_circulants(n):
     assert_same_witnesses(circulant(n, (1, 3)), [(0, 1), (0, n // 2)], budget=WITNESS_BUDGET)
 
 
-@pytest.mark.parametrize("length", [3, 8, 10])  # 10 > n: no cycle, every path explored
-def test_cycle_search_passes_at_its_budget_and_raises_below(monkeypatch, length):
-    g = circulant(9, (1, 3))
+# C_10(1, 3) is bipartite: it has no 9-cycle, and no odd 0-4 path, so each
+# of those searches explores every simple path
+@pytest.mark.parametrize("n, length", [(9, 3), (9, 8), (10, 9)])
+def test_cycle_search_passes_at_its_budget_and_raises_below(monkeypatch, n, length):
+    g = circulant(n, (1, 3))
     want, spent = _first_cycle_by_recursion(g, length, DEFAULT_BUDGET, 0)
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent))
     assert find_cycle_with_length(g, length) == want
@@ -322,12 +383,26 @@ def test_cycle_search_passes_at_its_budget_and_raises_below(monkeypatch, length)
         find_cycle_with_length(g, length)
 
 
-@pytest.mark.parametrize("length", [3, 5, 9])  # no 0-4 path has 9 edges
-def test_path_search_passes_at_its_budget_and_raises_below(monkeypatch, length):
-    g = circulant(9, (1, 3))
+@pytest.mark.parametrize("n, length", [(9, 3), (9, 5), (10, 9)])
+def test_path_search_passes_at_its_budget_and_raises_below(monkeypatch, n, length):
+    g = circulant(n, (1, 3))
     want, spent = _first_path_by_recursion(g, 0, 4, length, DEFAULT_BUDGET, 0)
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent))
     assert find_path_with_length(g, 0, 4, length) == want
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(spent - 1))
     with pytest.raises(BudgetExceeded):
         find_path_with_length(g, 0, 4, length)
+
+
+def test_a_length_no_path_or_cycle_can_have_costs_no_search(monkeypatch):
+    # on K8 each of these used to enumerate every simple path (3,913 nodes
+    # for a 0-1 path) before it returned None
+    monkeypatch.setenv("CYCLEMOD_BUDGET", "1")
+    g = complete_graph(8)
+    for length in (-1, 8, 9):
+        assert find_path_with_length(g, 0, 1, length) is None
+    for length in (-1, 2, 9, 10):
+        assert find_cycle_with_length(g, length) is None
+    adj = adj_masks(g)
+    assert _first_path(adj, 0, 1, 9, 1, 5) == (None, 5)
+    assert _first_cycle(adj, 9, 1, 5) == (None, 5)

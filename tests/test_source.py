@@ -74,6 +74,29 @@ def test_one_copy_of_the_3_connectivity_certificate():
     assert callers == {"cycles._classify", "decompose.vertex_connectivity_at_least"}
 
 
+def _reads_the_environment(node):
+    """Does node name CYCLEMOD_BUDGET or reach the process environment?"""
+    if isinstance(node, ast.Constant):
+        return node.value == "CYCLEMOD_BUDGET"
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("environ", "getenv")
+    if isinstance(node, ast.alias):
+        return node.name in ("environ", "getenv")
+    return False
+
+
+def test_only_default_budget_reads_cyclemod_budget():
+    # one place turns the environment into a search budget, so that one
+    # budget per request can replace it there
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            if any(_reads_the_environment(node) for node in ast.walk(top)):
+                readers.add(f"{path.stem}.{owner}")
+    assert readers == {"oraclekern.default_budget"}
+
+
 def test_no_graph_is_rebuilt_from_another_graphs_edge_list():
     # derived graphs build their adjacency tuple directly (graph.Graph._of_adj);
     # smallgraphs.py reads networkx graphs, whose .edges() is no Graph's

@@ -257,10 +257,11 @@ def sweep_cmd(nmax, kmax, exhaustive, samples):
         top = g.min_degree() - 1
         if kmax is not None:
             top = min(top, kmax)
+        branch = branch_of(g)
         for k in range(1, top + 1):
             total += 1
             trace = ExtractionTrace()
-            key = (g.n, k, branch_of(g))
+            key = (g.n, k, branch)
             row = report.setdefault(key, [0, 0, 0])  # pass, fail, gap
             try:
                 find_k_cycles(g, k, trace=trace)

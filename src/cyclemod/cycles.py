@@ -35,12 +35,11 @@ from .graph import (
     contract_set,
     girth,
     induced,
-    is_connected,
     mask_bits,
 )
 from .decompose import (
     _contracts_to_k4,
-    cut_vertices,
+    _low_link,
     is_2_connected,
     leaf_blocks,
     two_separations,
@@ -166,7 +165,8 @@ def check_witness(g, w):
     for v in cset:
         if len(g.adj[v] & cset) != 2:
             return False, f"not induced at {v}"
-    if not is_connected(g, ignore=cset):
+    walk = _low_link(g, cset)  # the cut vertices of G - V(C), or None
+    if walk is None:
         return False, "separating"
     if w.kind == WITNESS_TRIANGLE:
         if len(c) != 3:
@@ -174,20 +174,15 @@ def check_witness(g, w):
         return True, None
     if w.kind != WITNESS_TWO_NEIGHBOR:
         return False, f"unknown witness kind {w.kind!r}"
-    rest = set(range(g.n)) - cset
-    if rest:
-        # G - V(C) is connected: the separating test passed above
-        sub, to_orig = induced(g, rest)
-        cuts = {to_orig[v] for v in cut_vertices(sub)}
-        n_c = len(c)
-        for v in rest - cuts:
-            hits = g.adj[v] & cset
-            if len(hits) > 2:
-                return False, f"vertex {v} sends {len(hits)} edges to the cycle"
-            if len(hits) == 2:
-                i, j = sorted(c.index(h) for h in hits)
-                if (j - i) % n_c != 2 and (i - j) % n_c != 2:
-                    return False, f"vertex {v} hits two non-antipodal-of-a-common-u vertices"
+    n_c = len(c)
+    for v in set(range(g.n)) - cset - walk[0]:
+        hits = g.adj[v] & cset
+        if len(hits) > 2:
+            return False, f"vertex {v} sends {len(hits)} edges to the cycle"
+        if len(hits) == 2:
+            i, j = sorted(c.index(h) for h in hits)
+            if (j - i) % n_c != 2 and (i - j) % n_c != 2:
+                return False, f"vertex {v} hits two non-antipodal-of-a-common-u vertices"
     return True, None
 
 

@@ -30,80 +30,78 @@ class Separation2:
     cut: tuple  # the two shared vertices
 
 
-def _biconnected_edge_components(g):
-    """Edge sets of the biconnected components (iterative low-link DFS).
+def _low_link(g, without=()):
+    """(cut vertices, blocks) of G - without: the cut vertices as a set,
+    each block as a list of its vertices; None when G - without is
+    disconnected.  A lone vertex is one block of its own.
 
-    Each frame keeps the height of the edge stack at the moment its tree
-    edge (grandparent, parent) was pushed; a block closed at that edge is
-    the stack above that height, cut off in time proportional to the block."""
-    visited = set()
-    comps = []
-    for start in range(g.n):
-        if start in visited:
-            continue
-        discovery = {start: 0}
-        low = {start: 0}
-        visited.add(start)
-        edge_stack = []
-        stack = [(start, start, iter(sorted(g.adj[start])), 0)]
-        while stack:
-            grandparent, parent, children, height = stack[-1]
-            child = next(children, None)
-            if child is not None:
-                if child == grandparent:
-                    continue
-                if child in visited:
-                    if discovery[child] <= discovery[parent]:
-                        low[parent] = min(low[parent], discovery[child])
-                        edge_stack.append((parent, child))
-                else:
-                    low[child] = discovery[child] = len(discovery)
-                    visited.add(child)
-                    stack.append((parent, child, iter(sorted(g.adj[child])), len(edge_stack)))
-                    edge_stack.append((parent, child))
-                continue
+    One iterative low-link DFS (Tarjan 1972) from the smallest vertex left.
+    A deleted vertex counts as visited with a discovery time later than any
+    other, so it is never entered and an edge to it never lowers a low-link.
+    Each frame keeps the height of the vertex stack at the moment its vertex
+    was pushed; when the vertex closes a block at its parent, the block is
+    the parent plus the stack above that height, cut off in time
+    proportional to the block.
+    """
+    n = g.n
+    adj = g.adj
+    disc = [0] * n  # 0: not yet visited; discovery times start at 1
+    low = [0] * n
+    for v in without:
+        disc[v] = n + 1
+    root = next((v for v in range(n) if not disc[v]), None)
+    if root is None:
+        return set(), []
+    disc[root] = low[root] = seen = 1
+    cuts = set()
+    blocks = []
+    root_children = 0
+    verts = [root]
+    stack = [(root, -1, iter(adj[root]), 0)]
+    while stack:
+        v, parent, children, height = stack[-1]
+        for w in children:
+            if not disc[w]:
+                seen += 1
+                disc[w] = low[w] = seen
+                stack.append((w, v, iter(adj[w]), len(verts)))
+                verts.append(w)
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
             stack.pop()
-            if len(stack) > 1:
-                if low[parent] >= discovery[grandparent]:
-                    comps.append(tuple(edge_stack[height:]))
-                    del edge_stack[height:]
-                low[grandparent] = min(low[parent], low[grandparent])
-            elif stack:
-                comps.append(tuple(edge_stack[height:]))
-                del edge_stack[height:]
-    return comps
+            if parent == root:
+                root_children += 1
+            elif parent < 0:
+                continue
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if low[v] >= disc[parent]:
+                blocks.append([parent] + verts[height:])
+                del verts[height:]
+                cuts.add(parent)
+    if seen < n - len(set(without)):
+        return None
+    if not blocks:
+        blocks.append([root])
+    elif root_children < 2:
+        cuts.discard(root)
+    return cuts, blocks
 
 
 def block_cut_tree(g):
     """Blocks, cut vertices, incidence, end blocks of a connected graph."""
     if g.n == 0:
         raise InvalidArgument("empty graph")
-    if not is_connected(g):
+    walk = _low_link(g)
+    if walk is None:
         raise Disconnected("block_cut_tree needs a connected graph")
-    edge_comps = _biconnected_edge_components(g)
-    blocks = []
-    for comp in edge_comps:
-        verts = set()
-        for u, v in comp:
-            verts.add(u)
-            verts.add(v)
-        blocks.append(tuple(sorted(verts)))
-    if not blocks and g.n == 1:
-        blocks = [(0,)]
-    blocks.sort()
-    membership = {}
-    for i, blk in enumerate(blocks):
-        for v in blk:
-            membership.setdefault(v, []).append(i)
-    cut_vertices = tuple(sorted(v for v, bs in membership.items() if len(bs) > 1))
-    incidence = tuple(
-        sorted((i, v) for v in cut_vertices for i in membership[v])
-    )
-    cuts_per_block = {i: 0 for i in range(len(blocks))}
-    for i, _v in incidence:
-        cuts_per_block[i] += 1
-    end_blocks = tuple(i for i in range(len(blocks)) if cuts_per_block[i] <= 1)
-    return BlockCutTree(tuple(blocks), cut_vertices, incidence, end_blocks)
+    cuts, found = walk
+    blocks = sorted(tuple(sorted(blk)) for blk in found)
+    incidence = tuple((i, v) for i, blk in enumerate(blocks) for v in blk if v in cuts)
+    end_blocks = tuple(i for i, blk in enumerate(blocks) if len(cuts.intersection(blk)) <= 1)
+    return BlockCutTree(tuple(blocks), tuple(sorted(cuts)), incidence, end_blocks)
 
 
 def leaf_blocks(g):
@@ -114,68 +112,22 @@ def leaf_blocks(g):
     return [(bct.blocks[i], v) for i, v in bct.incidence if i in ends]
 
 
-def _cut_vertices(g, without=None):
-    """Cut vertices of G - without (one vertex id, or None for G itself),
-    as a set; None when that graph is disconnected.
-
-    One iterative low-link DFS (Tarjan 1972).  The deleted vertex counts as
-    visited with a discovery time later than any other, so it is never
-    entered and an edge to it never lowers a low-link.
-    """
-    n = g.n
-    adj = g.adj
-    disc = [0] * n  # 0: not yet visited; discovery times start at 1
-    low = [0] * n
-    size = n
-    if without is not None:
-        disc[without] = n + 1
-        size -= 1
-    if size <= 0:
-        return set()
-    root = 1 if without == 0 else 0
-    disc[root] = low[root] = seen = 1
-    cuts = set()
-    root_children = 0
-    stack = [(root, -1, iter(adj[root]))]
-    while stack:
-        v, parent, children = stack[-1]
-        for w in children:
-            if not disc[w]:
-                seen += 1
-                disc[w] = low[w] = seen
-                stack.append((w, v, iter(adj[w])))
-                break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if parent == root:
-                root_children += 1
-            elif parent >= 0:
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] >= disc[parent]:
-                    cuts.add(parent)
-    if seen < size:
-        return None
-    if root_children > 1:
-        cuts.add(root)
-    return cuts
-
-
 def cut_vertices(g):
     """Sorted cut vertices of a connected graph."""
     if g.n == 0:
         raise InvalidArgument("empty graph")
-    cuts = _cut_vertices(g)
-    if cuts is None:
+    walk = _low_link(g)
+    if walk is None:
         raise Disconnected("cut_vertices needs a connected graph")
-    return tuple(sorted(cuts))
+    return tuple(sorted(walk[0]))
 
 
 def is_2_connected(g):
     """n >= 3, connected, no cut vertex."""
-    return g.n >= 3 and _cut_vertices(g) == set()
+    if g.n < 3:
+        return False
+    walk = _low_link(g)
+    return walk is not None and not walk[0]
 
 
 def is_rooted_2_connected(g, x, y):
@@ -198,11 +150,11 @@ def two_separations(g):
     """
     n = g.n
     for u in range(n - 1):
-        cuts = _cut_vertices(g, u)
-        if cuts is None:
+        walk = _low_link(g, (u,))
+        if walk is None:
             partners = (v for v in range(u + 1, n) if not is_connected(g, ignore=(u, v)))
         else:
-            partners = sorted(v for v in cuts if v > u)
+            partners = sorted(v for v in walk[0] if v > u)
         for v in partners:
             root = next(w for w in range(n) if w != u and w != v)
             a_side = component_of(g, root, (u, v)) | {u, v}

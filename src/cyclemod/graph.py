@@ -273,24 +273,16 @@ def component_of(g, root, ignore=()):
 
 
 def components(g, ignore=()):
-    """Connected components of G - ignore, each a sorted list."""
+    """Connected components of G - ignore, each a sorted list, in the order
+    of their smallest vertex."""
     ignore = set(ignore)
     seen = set(ignore)
     out = []
     for root in range(g.n):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        seen.add(root)
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        out.append(sorted(comp))
+        if root not in seen:
+            comp = component_of(g, root, ignore)
+            seen |= comp
+            out.append(sorted(comp))
     return out
 
 

@@ -4,9 +4,11 @@ import json
 
 from click.testing import CliRunner
 
-from cyclemod import certify
+from cyclemod import certify, cycles
 from cyclemod.cli import main
+from cyclemod.cycles import branch_of
 from cyclemod.graph import complete_bipartite, complete_graph, format_graph
+from cyclemod.smallgraphs import two_connected_graphs
 
 
 def run(*args, files=None):
@@ -137,6 +139,20 @@ def test_sweep_exhaustive_small():
     res = run("sweep", "--nmax", "5", "--exhaustive")
     assert res.exit_code == 0
     assert "gap_rate 0.0000" in res.output
+
+
+def test_sweep_classifies_each_graph_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return branch_of(g)
+
+    monkeypatch.setattr(cycles, "branch_of", counted)
+    res = run("sweep", "--nmax", "5", "--exhaustive")
+    assert res.exit_code == 0
+    graphs = [g for n in range(3, 6) for g in two_connected_graphs(n)]
+    assert calls == graphs
 
 
 def test_sweep_samples():

@@ -1,5 +1,6 @@
 """Cycle-family extraction: witness finding, branch dispatch, residues."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,8 @@ from cyclemod.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    induced,
+    is_connected,
 )
 from cyclemod.cycles import (
     OddCycleWitness,
@@ -38,7 +41,7 @@ from cyclemod.oraclekern import (
     find_cycle_with_length,
     find_path_with_length,
 )
-from cyclemod.decompose import two_separations
+from cyclemod.decompose import cut_vertices, two_separations
 from cyclemod.paths import ExtractionTrace
 from cyclemod.smallgraphs import connected_graphs, two_connected_graphs
 
@@ -320,6 +323,65 @@ def test_check_witness_rejections():
     h = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 0)])
     ok, reason = check_witness(h, OddCycleWitness((0, 3, 4, 5), "triangle"))
     assert not ok
+
+
+def old_check_witness(g, w):
+    """check_witness as it was before one low-link walk of G - V(C) replaced
+    a connectivity flood plus the cut vertices of the induced G - V(C)."""
+    c = w.cycle
+    if len(c) < 3 or len(c) % 2 == 0:
+        return False, "not an odd cycle"
+    cset = set(c)
+    if len(cset) != len(c):
+        return False, "repeated vertex"
+    closed = list(c) + [c[0]]
+    for a, b in zip(closed, closed[1:]):
+        if not g.has_edge(a, b):
+            return False, f"missing cycle edge {a}-{b}"
+    for v in cset:
+        if len(g.adj[v] & cset) != 2:
+            return False, f"not induced at {v}"
+    if not is_connected(g, ignore=cset):
+        return False, "separating"
+    if w.kind == "triangle":
+        if len(c) != 3:
+            return False, "triangle witness of length != 3"
+        return True, None
+    if w.kind != "two-neighbor":
+        return False, f"unknown witness kind {w.kind!r}"
+    rest = set(range(g.n)) - cset
+    if rest:
+        sub, to_orig = induced(g, rest)
+        cuts = {to_orig[v] for v in cut_vertices(sub)}
+        n_c = len(c)
+        for v in rest - cuts:
+            hits = g.adj[v] & cset
+            if len(hits) > 2:
+                return False, f"vertex {v} sends {len(hits)} edges to the cycle"
+            if len(hits) == 2:
+                i, j = sorted(c.index(h) for h in hits)
+                if (j - i) % n_c != 2 and (i - j) % n_c != 2:
+                    return False, f"vertex {v} hits two non-antipodal-of-a-common-u vertices"
+    return True, None
+
+
+def test_check_witness_matches_the_two_traversal_version_on_the_atlas():
+    verdicts = Counter()
+    for n in range(3, 8):
+        for g in two_connected_graphs(n):
+            for length in range(3, n + 1, 2):
+                for verts in combinations(range(n), length):
+                    order = _cyclic_order(g, verts)
+                    if order is None:
+                        continue
+                    for kind in ("triangle", "two-neighbor"):
+                        w = OddCycleWitness(order, kind)
+                        got = check_witness(g, w)
+                        assert got == old_check_witness(g, w), (g.edges(), w)
+                        verdicts[got[1] or "ok"] += 1
+    # every rejection that reads G - V(C) occurs
+    assert {"ok", "separating", "triangle witness of length != 3"} <= set(verdicts), verdicts
+    assert any(r.startswith("vertex ") for r in verdicts), verdicts
 
 
 # -- branch extractors -------------------------------------------------------

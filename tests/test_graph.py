@@ -158,8 +158,8 @@ def test_bipartite_detection():
 def test_connectivity_and_components():
     g = Graph(5, [(0, 1), (2, 3)])
     assert not is_connected(g)
-    comps = components(g)
-    assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
+    assert components(g) == [[0, 1], [2, 3], [4]]
+    assert components(g, ignore=(0, 3)) == [[1], [2], [4]]
     assert is_connected(complete_graph(4), ignore=(0,))
 
 

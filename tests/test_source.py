@@ -74,6 +74,21 @@ def test_one_copy_of_the_3_connectivity_certificate():
     assert callers == {"cycles._classify", "decompose.vertex_connectivity_at_least"}
 
 
+def test_one_low_link_walk():
+    # blocks, cut vertices and the witness check all come from one Tarjan
+    # DFS; a function keeping both discovery times and low-links is a copy
+    walks = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                stored = {n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+                if {"disc", "low"} <= stored:
+                    walks.append(f"{path.stem}.{node.name}")
+    assert walks == ["decompose._low_link"]
+
+
 def _reads_the_environment(node):
     """Does node name CYCLEMOD_BUDGET or reach the process environment?"""
     if isinstance(node, ast.Constant):

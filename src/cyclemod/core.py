@@ -213,40 +213,22 @@ def h_ladder_path(core, a, b, length, avoid=()):
     return tuple(seq)
 
 
-def _exit_to_y(g, core, via="any"):
-    """A path from some w in V(H) - x to y, internally avoiding V(H) u {x}.
-
-    via="T": w must be in T and the exit leaves through an edge of E(T, C);
-    via vertex s: the exit starts s, c for the smallest C-neighbor c of s.
-    Deterministic; raises HypothesisNotMet when the requested exit is absent.
-    """
-    h = core.h_vertices()
+def _exit_via(g, core, starts):
+    """The path w, c, ..., y for the smallest pair (w, c) with w in `starts`
+    and c a neighbor of w in C, then a shortest c-y path inside C.
+    Raises HypothesisNotMet when no vertex of `starts` has a C-neighbor."""
     c_set = set(core.component_c)
-    if via == "T":
-        cands = [
-            (t, c)
-            for t in core.t
-            for c in sorted(g.adj[t] & c_set)
-        ]
-        if not cands:
-            raise HypothesisNotMet("no edge between T and C")
-        t, c = min(cands)
-        if c == core.y:
-            return (t, core.y)
-        tail = shortest_path(g, c, core.y, forbidden=set(range(g.n)) - c_set)
-        return (t,) + tail
-    if isinstance(via, int):
-        s = via
-        cs = sorted(g.adj[s] & c_set)
-        if not cs:
-            raise HypothesisNotMet(f"no edge between {s} and C")
-        c = cs[0]
-        if c == core.y:
-            return (s, core.y)
-        tail = shortest_path(g, c, core.y, forbidden=set(range(g.n)) - c_set)
-        return (s,) + tail
-    # any exit from V(H) - x: BFS from y avoiding x, stop at the first
-    # H-vertex reached (preferring a T attachment among equals)
+    pairs = [(w, c) for w in starts for c in g.adj[w] & c_set]
+    if not pairs:
+        raise HypothesisNotMet("no edge between the exit vertices and C")
+    w, c = min(pairs)
+    return (w,) + shortest_path(g, c, core.y, forbidden=set(range(g.n)) - c_set)
+
+
+def _shortest_exit(g, core):
+    """A shortest path from some w in V(H) - x to y, internally avoiding
+    V(H) u {x}; the first of T, then S - x, among the shortest."""
+    h = core.h_vertices()
     best = None
     for w in list(core.t) + [v for v in core.s if v != core.x]:
         p = shortest_path(g, w, core.y, forbidden=(h - {w}) | {core.x})
@@ -268,10 +250,7 @@ def core_paths_big_l(g, core, k):
     t_c_edge = any(g.adj[t] & c_set for t in core.t)
     if not (l >= k or (l == k - 1 and t_c_edge)):
         raise HypothesisNotMet("need l >= k, or l = k - 1 with a T-C edge")
-    if l >= k:
-        exit_path = _exit_to_y(g, core, via="any")
-    else:
-        exit_path = _exit_to_y(g, core, via="T")
+    exit_path = _shortest_exit(g, core) if l >= k else _exit_via(g, core, core.t)
     w = exit_path[0]
     members = []
     if w in core.t:
@@ -304,7 +283,7 @@ def core_paths_semilength(g, core, k):
     if not tt_edges:
         raise HypothesisNotMet("no edge inside T")
     s = s_cands[0]
-    exit_path = _exit_to_y(g, core, via=s)
+    exit_path = _exit_via(g, core, (s,))
     members = []
     for i in range(1, l + 1):  # even ladders 2, ..., 2l
         lad = h_ladder_path(core, x, s, 2 * i)
@@ -319,10 +298,7 @@ def core_paths_semilength(g, core, k):
         seq.append(free_t[j])
     seq.append(s)
     members.append(join_paths(tuple(seq), exit_path))
-    sw = k - 1 if k >= 2 else None
-    if sw is None:
-        raise HypothesisNotMet("semi-length families need k >= 2")
-    fam = make_path_family(members, cls=FamilyClass(SEMI, sw))
+    fam = make_path_family(members, cls=FamilyClass(SEMI, k - 1))
     return validate_path_family(g, fam, x, y, allowed=(SEMI,))
 
 

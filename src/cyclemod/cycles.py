@@ -28,15 +28,7 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import (
-    _coloring,
-    _girth,
-    adj_masks,
-    contract_set,
-    girth,
-    induced,
-    mask_bits,
-)
+from .graph import _coloring, _girth, adj_masks, girth, mask_bits
 from .decompose import (
     _contracts_to_k4,
     _low_link,
@@ -64,7 +56,6 @@ from .paths import (
     ExtractionTrace,
     _BRANCH_ERRORS,
     _engine,
-    _fits,
     _path_within,
     _recurse_on,
 )
@@ -378,27 +369,16 @@ def _rotations(c):
 
 
 def _triangle_fans(g, k, c, trace):
-    """|C| = 3: contract the two non-u vertices and fan l paths around C."""
+    """|C| = 3: merge the two non-u vertices into one super root and fan l
+    paths around C; a path ends at u+ when it can, else at u-."""
     l, phi = split_parity(k)
     for rot in _rotations(c):
-        u, up, um = rot[0], rot[1], rot[2]
-        gstar, to_new, u_star = contract_set(g, {up, um})
-        orig_of = {w: v for v, w in to_new.items() if w != u_star}
-        u_new = to_new[u]
-        if not _fits(gstar, u_new, u_star, l, phi == 0):
+        u, up, um = rot
+        attach = (g.adj[up] | g.adj[um]) - {up, um}
+        att = _block_paths(g, set(range(g.n)) - {up, um}, (attach, (up, um)), u, l, phi == 0, trace)
+        if att is None:
             continue
         try:
-            inner = _engine(gstar, u_new, u_star, l, phi == 0, trace)
-        except _BRANCH_ERRORS:
-            continue
-        try:
-            members = []
-            for m in inner.members:
-                real = [orig_of[w] for w in m[:-1]]
-                last = real[-1]
-                end = up if g.has_edge(last, up) else um
-                members.append(tuple(real) + (end,))
-            att = make_path_family(members, cls=inner.cls)
             fam = odd_cycle_fan(c, u, att, phi)
         except _BRANCH_ERRORS:
             continue
@@ -415,10 +395,9 @@ def _long_witness(g, k, c, trace):
     # G - V(C) is connected (the witness is non-separating) and non-empty
     # (each vertex of the induced C has delta - 2 >= 1 neighbors off C)
     rest = sorted(set(range(g.n)) - set(c))
-    sub, to_orig = induced(g, rest)
     # candidate (block, cut-vertex) pairs; the whole of G - V(C) when it is
     # a single block (any anchor vertex works as the degenerate cut)
-    cands = [({to_orig[v] for v in blk}, to_orig[b]) for blk, b in leaf_blocks(sub)]
+    cands = [(set(blk), b) for blk, b in leaf_blocks(g, c)]
     cands = cands or [(set(rest), b) for b in rest]
     for blk, b in cands:
         fam = _fan_from_block(g, k, l, phi, c, blk, b, rest, trace)

@@ -90,24 +90,25 @@ def _low_link(g, without=()):
     return cuts, blocks
 
 
-def block_cut_tree(g):
-    """Blocks, cut vertices, incidence, end blocks of a connected graph."""
-    if g.n == 0:
-        raise InvalidArgument("empty graph")
-    walk = _low_link(g)
+def block_cut_tree(g, without=()):
+    """Blocks, cut vertices, incidence, end blocks of G - without, which
+    must be connected and non-empty; vertices keep their ids in g."""
+    walk = _low_link(g, without)
     if walk is None:
         raise Disconnected("block_cut_tree needs a connected graph")
     cuts, found = walk
+    if not found:
+        raise InvalidArgument("empty graph")
     blocks = sorted(tuple(sorted(blk)) for blk in found)
     incidence = tuple((i, v) for i, blk in enumerate(blocks) for v in blk if v in cuts)
     end_blocks = tuple(i for i, blk in enumerate(blocks) if len(cuts.intersection(blk)) <= 1)
     return BlockCutTree(tuple(blocks), tuple(sorted(cuts)), incidence, end_blocks)
 
 
-def leaf_blocks(g):
-    """(block, cut vertex) for each end block of a connected graph, in
-    block-index order; empty when g is a single block."""
-    bct = block_cut_tree(g)
+def leaf_blocks(g, without=()):
+    """(block, cut vertex) for each end block of a connected G - without,
+    in block-index order; empty when it is a single block."""
+    bct = block_cut_tree(g, without)
     ends = set(bct.end_blocks)
     return [(bct.blocks[i], v) for i, v in bct.incidence if i in ends]
 
@@ -122,11 +123,12 @@ def cut_vertices(g):
     return tuple(sorted(walk[0]))
 
 
-def is_2_connected(g):
-    """n >= 3, connected, no cut vertex."""
-    if g.n < 3:
+def is_2_connected(g, without=()):
+    """G - without has n >= 3, is connected and has no cut vertex; the
+    vertex set `without` holds distinct vertices of g."""
+    if g.n - len(without) < 3:
         return False
-    walk = _low_link(g)
+    walk = _low_link(g, without)
     return walk is not None and not walk[0]
 
 
@@ -257,18 +259,18 @@ def find_2_separation(g):
     return next(two_separations(g), None)
 
 
-def feasible_end_blocks(c, y):
-    """End blocks B (with cut vertex b) of c such that y is not in B - b.
+def feasible_end_blocks(c, y, without=()):
+    """End blocks B (with cut vertex b) of C = c - without such that y is
+    not in B - b; vertices keep their ids in c, and Disconnected is raised
+    unless C is connected.
 
-    Returns (list of (block_vertices, b), is_single_block).  When c has just
+    Returns (list of (block_vertices, b), is_single_block).  When C has just
     one block there is no cut structure and the list is empty with the flag
     set.  Results sorted by smallest contained vertex id.
     """
-    if not is_connected(c):
-        raise Disconnected("feasible_end_blocks needs a connected graph")
-    if not (0 <= y < c.n):
+    if not 0 <= y < c.n or y in without:
         raise InvalidArgument("y out of range")
-    leaves = leaf_blocks(c)
+    leaves = leaf_blocks(c, without)
     if not leaves:
         return [], True
     out = [(blk, b) for blk, b in leaves if y not in blk or y == b]

@@ -46,9 +46,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def has_edge(self, u, v):
         return v in self.adj[u]
 

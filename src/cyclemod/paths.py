@@ -175,19 +175,15 @@ def _fits(aux, ax, ay, k, flex):
 
 def _recurse_on(g, verts, a, b, k, flex, trace):
     """k (a, b)-paths found by recursing on G[verts], lifted back to the
-    ids of g; None when the subproblem misses the hypothesis.
+    ids of g; None when the subproblem misses the hypothesis.  The one
+    place that builds a relabelled subproblem and lifts its paths back.
 
     A root is a vertex of `verts` or a super vertex, given as a pair
     (attach, options): a new vertex adjacent to each vertex of `attach`.
-    The lift replaces a super root by the smallest vertex of `options`
-    adjacent to its neighbor on the path.
+    The lift replaces a super root by the first vertex of the sequence
+    `options`, in its order, adjacent to its neighbor on the path.
     """
     sub, to_orig = induced(g, verts)
-    return _recurse_on_sub(g, sub, to_orig, a, b, k, flex, trace)
-
-
-def _recurse_on_sub(g, sub, to_orig, a, b, k, flex, trace):
-    """_recurse_on on G[verts] already built: (sub, to_orig) = induced(g, verts)."""
     inv = {v: i for i, v in enumerate(to_orig)}
     adj, roots = list(sub.adj), []
     for r in (a, b):
@@ -209,10 +205,11 @@ def _recurse_on_sub(g, sub, to_orig, a, b, k, flex, trace):
     def lift(v, root, near):
         if v < len(to_orig):
             return to_orig[v]
-        cands = set(root[1]) & g.adj[to_orig[near]]
-        if not cands:
-            raise InvalidWitness("no real vertex realizes the super attachment")
-        return min(cands)
+        nbrs = g.adj[to_orig[near]]
+        for w in root[1]:
+            if w in nbrs:
+                return w
+        raise InvalidWitness("no real vertex realizes the super attachment")
 
     members = [
         (lift(m[0], a, m[1]),) + tuple(to_orig[v] for v in m[1:-1]) + (lift(m[-1], b, m[-2]),)
@@ -336,10 +333,6 @@ def _case_no_core(g, x, y, k, flex, trace):
         if v not in (x, y) and len(g.adj[v] & (nx - {v})) > 1:
             raise InvariantViolated("4-cycle through x exists but no core was found")
     gstar, to_new, x_star = contract_set(g, nx | {x})
-    orig_of = {}
-    for v in range(g.n):
-        if to_new[v] != x_star or v == x:
-            orig_of.setdefault(to_new[v], v)
     y_star = to_new[y]
 
     if gstar.n == 2:
@@ -351,14 +344,16 @@ def _case_no_core(g, x, y, k, flex, trace):
 
     blk, blk_ok = _block_of(gstar, x_star, y_star)
     if blk_ok and len(blk) >= 3:
+        inside = set(blk) - {x_star}
+        verts = [v for v in range(g.n) if to_new[v] in inside]
         fam = _attempt(
             trace,
             "contract-neighborhood",
-            lambda: _contract_recurse(g, x, y, k, flex, trace, gstar, x_star, y_star, blk, orig_of),
+            lambda: _contract_recurse(g, x, y, k, flex, trace, verts),
         )
         if fam is not None:
             return fam
-    if blk is not None and set(blk) == {x_star, y_star}:
+    if set(blk) == {x_star, y_star}:
         fam = _attempt(
             trace,
             "split-common-neighborhood",
@@ -370,15 +365,13 @@ def _case_no_core(g, x, y, k, flex, trace):
 
 
 def _block_of(gstar, x_star, y_star):
-    """The block of G* holding y (and x*), or (None, False)."""
-    if is_2_connected(gstar):
-        return tuple(range(gstar.n)), True
-    bct = block_cut_tree(gstar)
-    holding_y = [blk for blk in bct.blocks if y_star in blk]
+    """(block, True) for the block of G* holding y and x*, else (the first
+    block holding y, False); G* is connected, so some block holds y."""
+    holding_y = [blk for blk in block_cut_tree(gstar).blocks if y_star in blk]
     for blk in holding_y:
         if x_star in blk:
             return blk, True
-    return (holding_y[0], False) if holding_y else (None, False)
+    return holding_y[0], False
 
 
 def _tiny_semi(g, x, y):
@@ -394,16 +387,15 @@ def _tiny_semi(g, x, y):
     return None
 
 
-def _contract_recurse(g, x, y, k, flex, trace, gstar, x_star, y_star, blk, orig_of):
-    fam = _recurse_on(gstar, blk, x_star, y_star, k, flex, trace)
+def _contract_recurse(g, x, y, k, flex, trace, verts):
+    """Recurse on the real vertices `verts` of a block of G* = G/N[x], with
+    x* as a super root that lifts to the smallest vertex of N(x) adjacent
+    to the next vertex of the path; x then goes in front of each path."""
+    attach = [v for v in verts if g.adj[v] & g.adj[x]]
+    fam = _recurse_on(g, verts, (attach, sorted(g.adj[x])), y, k, flex, trace)
     if fam is None:
         return None
-    members = []
-    for star_path in fam.members:
-        real_tail = [orig_of[w] for w in star_path[1:]]
-        u = min(g.adj[x] & g.adj[real_tail[0]])
-        members.append(tuple([x, u] + real_tail))
-    return make_path_family(members, cls=fam.cls)
+    return make_path_family([(x,) + m for m in fam.members], cls=fam.cls)
 
 
 def _twin_roots(g, x, y, k, flex, trace):
@@ -437,7 +429,9 @@ def _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side):
     t_attach = [v for v in comp if g.adj[v] & t_side]
     if not s_attach or not t_attach:
         return None
-    fam = _recurse_on(g, comp, (s_attach, s_side), (t_attach, t_side), k, flex, trace)
+    fam = _recurse_on(
+        g, comp, (s_attach, sorted(s_side)), (t_attach, sorted(t_side)), k, flex, trace
+    )
     if fam is None:
         return None
     members = [(x,) + m + (y,) for m in fam.members]
@@ -538,12 +532,11 @@ def _single_y_two_t(g, x, y, k, flex, trace, core):
 def _single_y_delete_pair(g, x, y, k, flex, trace, core, s, t):
     """G - {s, t} 2-connected: k - 1 paths there, and the longest once more
     with its last edge replaced by the detour s, t, y."""
-    sub, to_orig = induced(g, set(range(g.n)) - {s, t})
-    if not is_2_connected(sub):
+    if not is_2_connected(g, (s, t)):
         return None
 
     def two_conn():
-        fam = _recurse_on_sub(g, sub, to_orig, x, y, k - 1, flex, trace)
+        fam = _recurse_on(g, set(range(g.n)) - {s, t}, x, y, k - 1, flex, trace)
         if fam is None:
             return None
         longest = fam.members[-1]
@@ -560,18 +553,14 @@ def _case_big_c(g, x, y, k, flex, trace, core):
     """(T*, b)-paths across an end block of C that T reaches, or across all
     of C when C is one block, extended through the core."""
     c_set = set(core.component_c)
-    c_sub, to_oc = induced(g, c_set)
-    inv_c = {v: j for j, v in enumerate(to_oc)}
-    try:
-        feas_sub, single = feasible_end_blocks(c_sub, inv_c[y])
-    except InvalidArgument:
-        return None
-    feas = [({to_oc[v] for v in blk}, to_oc[b]) for blk, b in feas_sub]
+    # C is connected and holds y: the component of y in G - V(H)
+    feas, single = feasible_end_blocks(g, y, set(range(g.n)) - c_set)
 
     cands = []
     if single:
         cands.append((c_set, y))
     for blk, b in feas:
+        blk = set(blk)
         if any(g.adj[t] & (blk - {b}) for t in core.t):
             cands.append((blk, b))
     for blk, b in cands:
@@ -592,7 +581,7 @@ def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
     attach = [v for v in blk if g.adj[v] & t_set]
     if not attach:
         return None
-    fam = _recurse_on(g, blk, (attach, t_set), b, k - l, flex, trace)
+    fam = _recurse_on(g, blk, (attach, core.t), b, k - l, flex, trace)
     if fam is None:
         return None
     if b == y:

@@ -16,6 +16,7 @@ from cyclemod.graph import (
     complete_graph,
     components,
     cycle_graph,
+    induced,
     is_connected,
 )
 from cyclemod.decompose import (
@@ -350,7 +351,12 @@ def old_feasible_end_blocks(g, y):
     return out, False
 
 
+def _mapped(leaves, to_orig):
+    return [(tuple(to_orig[v] for v in blk), to_orig[b]) for blk, b in leaves]
+
+
 def test_leaf_blocks_match_the_incidence_scan():
+    deleted = 0
     for n in range(1, 8):
         for g in atlas_connected(n):
             leaves = leaf_blocks(g)
@@ -361,6 +367,19 @@ def test_leaf_blocks_match_the_incidence_scan():
                 assert b in blk and b in bct.cut_vertices
             for y in range(n):
                 assert feasible_end_blocks(g, y) == old_feasible_end_blocks(g, y)
+            # the walks of G - X in g's own ids against the relabelled copy
+            for size in (1, 2):
+                for X in itertools.combinations(range(n), size):
+                    if n == size or not is_connected(g, ignore=X):
+                        continue
+                    sub, to_orig = induced(g, set(range(n)) - set(X))
+                    assert leaf_blocks(g, X) == _mapped(leaf_blocks(sub), to_orig)
+                    assert is_2_connected(g, X) == is_2_connected(sub)
+                    for i, y in enumerate(to_orig):
+                        feas, single = feasible_end_blocks(sub, i)
+                        assert feasible_end_blocks(g, y, X) == (_mapped(feas, to_orig), single)
+                    deleted += 1
+    assert deleted == 21556  # graphs and X with G - X connected and non-empty
 
 
 def test_a_chain_of_a_thousand_k5_blocks():

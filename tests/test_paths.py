@@ -141,6 +141,16 @@ def test_recurse_on_lifts_a_super_root_and_refuses_k_below_one():
     assert _recurse_on(g, {2, 3, 4, 5}, sup, 5, 0, False, ExtractionTrace()) is None
 
 
+def test_recurse_on_lifts_a_super_root_to_its_first_fitting_option():
+    # in K7 each neighbour of the super root on a path is adjacent to both
+    # options 0 and 1, so the order given alone decides the lift
+    g = complete_graph(7)
+    for options in ((0, 1), (1, 0)):
+        fam = _recurse_on(g, {2, 3, 4, 5, 6}, ((2, 3, 4), options), 6, 2, False, ExtractionTrace())
+        validate_path_family(g, fam, options[0], 6)
+        assert fam.k == 2 and {m[0] for m in fam.members} == {options[0]}
+
+
 def _super_root_requests():
     """(g, verts, a, b): G[verts] with zero, one or two super roots, on the
     2-connected atlas graphs with n <= 7 and generated graphs with n = 8..16."""

@@ -89,6 +89,30 @@ def test_one_low_link_walk():
     assert walks == ["decompose._low_link"]
 
 
+def test_one_subproblem_builder():
+    # paths._recurse_on alone builds a relabelled subproblem and lifts its
+    # paths back; every other question about G - X is asked of G itself
+    callers = {"induced": set(), "_fits": set(), "contract_set": set()}
+    defined = set()
+    for name in ("paths.py", "cycles.py"):
+        path = SRC / name
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            defined.add(top.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if called in callers:
+                        callers[called].add(f"{path.stem}.{top.name}")
+    assert callers == {
+        "induced": {"paths._recurse_on"},
+        "_fits": {"paths._recurse_on"},
+        "contract_set": {"paths._case_no_core"},
+    }
+    assert "_recurse_on_sub" not in defined
+
+
 def _reads_the_environment(node):
     """Does node name CYCLEMOD_BUDGET or reach the process environment?"""
     if isinstance(node, ast.Constant):
@@ -151,23 +175,30 @@ def _is_click_command(node):
     return any("command" in ast.unparse(d) for d in node.decorator_list)
 
 
+def _defined_names(path):
+    """The functions, classes and constants that a src module defines at
+    top level, and the methods of its classes, as (module.name, name);
+    click commands are reached by name, so they are left out."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_click_command(node):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{path.stem}.{node.name}.{m.name}", m.name)
+                        for m in node.body if isinstance(m, ast.FunctionDef))
+        elif isinstance(node, ast.Assign):
+            yield from ((f"{path.stem}.{t.id}", t.id)
+                        for t in node.targets if isinstance(t, ast.Name))
+
+
 def test_every_top_level_name_is_referenced():
-    # a function, class or constant that nothing in src/, tests/ or
-    # perfbench/ reads is dead code; click commands are reached by name
+    # a function, class, constant or method that nothing in src/, tests/
+    # or perfbench/ reads is dead code
     root = SRC.parent.parent
     used = set()
     for folder in ("src", "tests", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
             used |= _identifier_references(ast.parse(path.read_text(), filename=str(path)))
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [] if _is_click_command(node) else [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            found += [f"{path.stem}.{name}" for name in names
-                      if name not in used and not (name.startswith("__") and name.endswith("__"))]
-    assert not found, f"top-level names that nothing references: {found}"
+    found = [qualified for path in sorted(SRC.glob("*.py"))
+             for qualified, name in _defined_names(path)
+             if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert not found, f"names and methods that nothing references: {found}"

@@ -55,6 +55,7 @@ from .oraclekern import _first_cycle, default_budget, find_cycle_with_length
 from .paths import (
     ExtractionTrace,
     _BRANCH_ERRORS,
+    _attempt,
     _engine,
     _path_within,
     _recurse_on,
@@ -79,7 +80,10 @@ def oracle_cycles(g, k):
     most once: lengths below the girth or above n are absent, and so are
     odd lengths in a bipartite graph; any other length is decided by the
     first-found cycle search, and the cycle it finds is the family member.
-    All searches of one call draw on one node budget."""
+    All searches of one call draw on one node budget.  Raises
+    InvalidArgument, before any search, unless k >= 1."""
+    if k < 1:
+        raise InvalidArgument("k must be positive")
     fam = _oracle_cycles(g, k, _coloring(g) is not None)
     return None if fam is None else validate_cycle_family(g, fam)
 
@@ -359,13 +363,8 @@ def _two_cycles_from_edge(g, trace):
 
 def _rotations(c):
     """All (rotation starting at u, for each u) in both orientations."""
-    out = []
-    n = len(c)
-    rev = tuple(reversed(c))
-    for i in range(n):
-        out.append(tuple(c[i:]) + tuple(c[:i]))
-        out.append(tuple(rev[i:]) + tuple(rev[:i]))
-    return out
+    rev = c[::-1]
+    return [r[i:] + r[:i] for i in range(len(c)) for r in (c, rev)]
 
 
 def _triangle_fans(g, k, c, trace):
@@ -378,12 +377,9 @@ def _triangle_fans(g, k, c, trace):
         att = _block_paths(g, set(range(g.n)) - {up, um}, (attach, (up, um)), u, l, phi == 0, trace)
         if att is None:
             continue
-        try:
-            fam = odd_cycle_fan(c, u, att, phi)
-        except _BRANCH_ERRORS:
-            continue
-        trace.record("triangle-fan")
-        return make_cycle_family(fam.members[:k], cls=fam.cls)
+        fam = _attempt(trace, "triangle-fan", lambda: odd_cycle_fan(rot, att, phi))
+        if fam is not None:
+            return make_cycle_family(fam.members[:k], cls=fam.cls)
     return None
 
 
@@ -394,11 +390,11 @@ def _long_witness(g, k, c, trace):
     l, phi = split_parity(k)
     # G - V(C) is connected (the witness is non-separating) and non-empty
     # (each vertex of the induced C has delta - 2 >= 1 neighbors off C)
-    rest = sorted(set(range(g.n)) - set(c))
+    rest = set(range(g.n)) - set(c)
     # candidate (block, cut-vertex) pairs; the whole of G - V(C) when it is
     # a single block (any anchor vertex works as the degenerate cut)
     cands = [(set(blk), b) for blk, b in leaf_blocks(g, c)]
-    cands = cands or [(set(rest), b) for b in rest]
+    cands = cands or [(rest, b) for b in sorted(rest)]
     for blk, b in cands:
         fam = _fan_from_block(g, k, l, phi, c, blk, b, rest, trace)
         if fam is not None:
@@ -407,28 +403,38 @@ def _long_witness(g, k, c, trace):
 
 
 def _fan_from_block(g, k, l, phi, c, blk, b, rest, trace):
-    """Consecutive cycles via a fan anchored in one block."""
-    n_c = len(c)
-    m = (n_c - 1) // 2
+    """Consecutive cycles via a fan anchored in one block, for each rotation
+    of C from u and each x of the block but b: with x adjacent to both u+
+    and u-, l - 1 length-condition (x, apex)-paths (the x-fan); then, with x
+    adjacent to u and no block vertex adjacent to C twice, l (u, apex)-paths
+    (the u-fan).  The apex is u^{+m}, reached from some y off the block."""
+    m = (len(c) - 1) // 2
+    cset = set(c)
     interior = blk - {b}
-    outside = set(rest) - interior
-    quiet = all(len(g.adj[v] & set(c)) <= 1 for v in interior)
+    outside = rest - interior
+    hits = {x: g.adj[x] & cset for x in sorted(interior)}
+    quiet = all(len(h) <= 1 for h in hits.values())
     for rot in _rotations(c):
-        u, up, um = rot[0], rot[1], rot[-1]
-        apex = rot[m]
-        y_opts = sorted(v for v in outside if g.has_edge(v, apex))
+        u, up, um, apex = rot[0], rot[1], rot[-1], rot[m]
+        y_opts = sorted(outside & g.adj[apex])
         if not y_opts:
             continue
-        for x in sorted(interior):
-            hits = g.adj[x] & set(c)
-            if up in hits and um in hits:
-                fam = _attempt_x_fan(g, k, l, c, rot, u, x, blk, b, y_opts, rest, trace)
-                if fam is not None:
-                    return fam
-            if quiet and u in hits:
-                fam = _attempt_u_fan(g, k, l, phi, c, rot, u, x, blk, b, y_opts, rest, trace)
-                if fam is not None:
-                    return fam
+        for x, h in hits.items():
+            x_fans = u_fans = ()
+            if up in h and um in h:  # k >= 3 here, so l - 1 >= 1
+                x_fans = _to_apex(g, blk, b, x, (), apex, y_opts, rest, l - 1, False, trace)
+            if quiet and u in h:
+                u_fans = _to_apex(g, blk, b, x, (u,), apex, y_opts, rest, l, phi == 0, trace)
+            # the first fan that closes, x-fans first, each y in order
+            tries = chain(
+                (_attempt(trace, "antipode-x-fan", lambda: odd_cycle_x_fan(rot, x, att, l))
+                 for att in x_fans),
+                (_attempt(trace, "antipode-fan", lambda: odd_cycle_fan(rot, att, phi))
+                 for att in u_fans),
+            )
+            fam = next(filter(None, tries), None)
+            if fam is not None:
+                return make_cycle_family(fam.members[:k], cls=fam.cls)
     return None
 
 
@@ -439,54 +445,23 @@ def _block_paths(g, blk, b, x, kk, flex, trace):
         return None
 
 
-def _bridge_out(g, b, blk, rest, y):
-    return _path_within(g, b, y, (set(rest) - blk) | {b, y})
-
-
-def _attempt_x_fan(g, k, l, c, rot, u, x, blk, b, y_opts, rest, trace):
-    """x adjacent to both u+ and u-: l - 1 length-condition (x, apex)-paths."""
-    m = (len(c) - 1) // 2
-    apex = rot[m]
-    if l - 1 < 1:
-        return None
-    fam = _block_paths(g, blk, b, x, l - 1, False, trace)
+def _to_apex(g, blk, b, x, head, apex, y_opts, rest, kk, flex, trace):
+    """The families head + P + bridge + (y, apex), one for each y of y_opts
+    that a shortest b-y path off the block reaches, over the kk (x, b)-paths
+    P of the block; none when the block misses the hypothesis."""
+    fam = _block_paths(g, blk, b, x, kk, flex, trace)
     if fam is None:
-        return None
+        return
     for y in y_opts:
-        bridge = _bridge_out(g, b, blk, rest, y)
+        bridge = _path_within(g, b, y, (rest - blk) | {b, y})
         if bridge is None:
             continue
         try:
-            members = [join_paths(p, bridge, (y, apex)) for p in fam.members]
-            att = make_path_family(members, cls=fam.cls)
-            cyc = odd_cycle_x_fan(tuple(rot), u, x, att, l)
+            att = make_path_family(
+                [join_paths(head + p, bridge, (y, apex)) for p in fam.members], cls=fam.cls)
         except _BRANCH_ERRORS:
             continue
-        trace.record("antipode-x-fan")
-        return make_cycle_family(cyc.members[:k], cls=cyc.cls)
-    return None
-
-
-def _attempt_u_fan(g, k, l, phi, c, rot, u, x, blk, b, y_opts, rest, trace):
-    """x adjacent to u, block vertices near-disjoint from C: l (u, apex)-paths."""
-    m = (len(c) - 1) // 2
-    apex = rot[m]
-    fam = _block_paths(g, blk, b, x, l, phi == 0, trace)
-    if fam is None:
-        return None
-    for y in y_opts:
-        bridge = _bridge_out(g, b, blk, rest, y)
-        if bridge is None:
-            continue
-        try:
-            members = [join_paths((u,) + p, bridge, (y, apex)) for p in fam.members]
-            att = make_path_family(members, cls=fam.cls)
-            cyc = odd_cycle_fan(tuple(rot), u, att, phi)
-        except _BRANCH_ERRORS:
-            continue
-        trace.record("antipode-fan")
-        return make_cycle_family(cyc.members[:k], cls=cyc.cls)
-    return None
+        yield att
 
 
 # -- the dispatcher -----------------------------------------------------------

@@ -218,26 +218,6 @@ def reverse_family(fam):
     return Family(tuple(tuple(reversed(m)) for m in fam.members), fam.cls, fam.is_cycles)
 
 
-def combine_across_cut(fam, bridge, side="suffix"):
-    """Extend every member of a path family by one fixed bridge path.
-
-    side="suffix": members end where the bridge starts; "prefix": the bridge
-    ends where members start.  All lengths shift by the bridge length, so
-    the classification is preserved.
-    """
-    bridge = tuple(bridge)
-    if side not in ("prefix", "suffix"):
-        raise InvalidArgument("side must be 'prefix' or 'suffix'")
-    new = []
-    for m in fam.members:
-        if side == "suffix":
-            new.append(join_paths(m, bridge))
-        else:
-            new.append(join_paths(bridge, m))
-    # all lengths shift by the same constant, so the declared reading survives
-    return make_path_family(new, cls=fam.cls)
-
-
 # -- row schedules ---------------------------------------------------------
 
 
@@ -305,12 +285,6 @@ def glue_two_sided_semilength(p_fam, q_fam):
     return fam
 
 
-def _cycle_positions(c, u):
-    """Rotation of cycle witness c starting at u, following c's orientation."""
-    i = c.index(u)
-    return tuple(c[i:]) + tuple(c[:i])
-
-
 def _arc(rot, i, j, forward):
     """Arc of the rotated cycle from position i to position j (inclusive),
     walking forward (increasing positions) or backward."""
@@ -324,9 +298,10 @@ def _arc(rot, i, j, forward):
     return tuple(out)
 
 
-def odd_cycle_fan(c, u, paths_fam, phi):
-    """Consecutive-length cycles from an odd cycle C (|C| = 2m + 1) plus a
-    fan of (u, {u^{+m}, u^{-m}})-paths internally disjoint from V(C).
+def odd_cycle_fan(rot, paths_fam, phi):
+    """Consecutive-length cycles from an odd cycle C (|C| = 2m + 1), given
+    as its rotation rot starting at u, plus a fan of (u, {u^{+m}, u^{-m}})-
+    paths internally disjoint from V(C).
 
     Each path ends at an antipodal vertex v of u, reachable around C by a
     short arc Q (m edges) and a long arc R (m + 1 edges).  Length-condition
@@ -334,17 +309,17 @@ def odd_cycle_fan(c, u, paths_fam, phi):
     Semi-length fan (phi = 0 only, switch j): pairs for i <= j, then only
     Pi + Ri at i = j + 1, then pairs again -> 2l - 1 cycles.
     """
-    c = tuple(c)
-    m = (len(c) - 1) // 2
-    if len(c) % 2 == 0 or m < 1:
+    rot = tuple(rot)
+    u = rot[0]
+    m = (len(rot) - 1) // 2
+    if len(rot) % 2 == 0 or m < 1:
         raise InvalidArgument("need an odd cycle of length >= 3")
-    rot = _cycle_positions(c, u)
     cls = paths_fam.cls
     if cls.kind == SEMI and phi == 1:
         raise InvalidArgument("semi-length fan only available when phi = 0")
     if cls.kind not in (LENGTH, SEMI):
         raise InvalidArgument("fan needs a length or semi-length family")
-    cset = set(c)
+    cset = set(rot)
     rows = []
     for idx, pth in enumerate(paths_fam.members):
         if pth[0] != u or pth[-1] not in (rot[m], rot[m + 1]):
@@ -369,10 +344,11 @@ def odd_cycle_fan(c, u, paths_fam, phi):
     return fam
 
 
-def odd_cycle_x_fan(c, u, x, paths_fam, l):
+def odd_cycle_x_fan(rot, x, paths_fam, l):
     """Consecutive-length cycles from an odd cycle C (|C| = 2m + 1, m >= 2),
-    a vertex x off C adjacent to both u+ and u-, and l - 1 length-condition
-    (x, u^{+m})-paths internally disjoint from V(C) and x-free inside.
+    given as its rotation rot starting at u, a vertex x off C adjacent to
+    both u+ and u-, and l - 1 length-condition (x, u^{+m})-paths internally
+    disjoint from V(C) and x-free inside.
 
     Four return arcs from u^{+m}: to u+ short (m - 1), to u- short (m),
     to u- long (m + 1), to u+ long (m + 2); rows
@@ -382,18 +358,17 @@ def odd_cycle_x_fan(c, u, x, paths_fam, l):
 
     give 2l consecutive-length cycles.
     """
-    c = tuple(c)
-    m = (len(c) - 1) // 2
-    if len(c) % 2 == 0:
+    rot = tuple(rot)
+    m = (len(rot) - 1) // 2
+    if len(rot) % 2 == 0:
         raise InvalidArgument("need an odd cycle")
     if m < 2:
         raise InvalidArgument("need |C| >= 5 here")
     if paths_fam.cls.kind != LENGTH or len(paths_fam.members) != l - 1:
         raise InvalidArgument("need l - 1 paths satisfying the length condition")
-    rot = _cycle_positions(c, u)
     up, um = rot[1], rot[-1]          # u+ and u-
     apex = rot[m]                     # u^{+m}
-    cset = set(c)
+    cset = set(rot)
     for pth in paths_fam.members:
         if pth[0] != x or pth[-1] != apex:
             raise InvalidWitness("member must run from x to the antipode u^{+m}")

@@ -283,17 +283,10 @@ def components(g, ignore=()):
     return out
 
 
-def shortest_path(g, src, dst, forbidden=(), forbidden_edges=()):
+def shortest_path(g, src, dst, forbidden=()):
     """Shortest src-dst path avoiding `forbidden` vertices (BFS), or None.
-
-    forbidden_edges is an iterable of (u, v) pairs (either orientation).
-    Endpoints must not be forbidden.
-    """
+    Endpoints must not be forbidden."""
     forbidden = set(forbidden)
-    bad_edges = set()
-    for u, v in forbidden_edges:
-        bad_edges.add((u, v))
-        bad_edges.add((v, u))
     if src in forbidden or dst in forbidden:
         raise InvalidArgument("endpoint is forbidden")
     if src == dst:
@@ -304,7 +297,7 @@ def shortest_path(g, src, dst, forbidden=(), forbidden_edges=()):
         nxt = []
         for u in frontier:
             for v in sorted(g.adj[u]):
-                if v in forbidden or v in prev or (u, v) in bad_edges:
+                if v in forbidden or v in prev:
                     continue
                 prev[v] = u
                 if v == dst:

@@ -55,7 +55,6 @@ from .families import (
     LENGTH,
     SEMI,
     FamilyClass,
-    combine_across_cut,
     join_paths,
     make_path_family,
     reverse_family,
@@ -292,10 +291,7 @@ def _attempt(trace, tag, fn):
 
 def _base_single(g, x, y):
     """One (x, y)-path of length >= 2 (k = 1)."""
-    if g.has_edge(x, y):
-        p = shortest_path(g, x, y, forbidden_edges=[(x, y)])
-    else:
-        p = shortest_path(g, x, y)
+    p = shortest_path(g.without_edge(x, y) if g.has_edge(x, y) else g, x, y)
     if p is None or len(p) < 3:
         raise HypothesisNotMet("no (x, y)-path of length at least 2")
     return make_path_family([p], cls=FamilyClass(LENGTH))
@@ -314,13 +310,14 @@ def _split_at_end_block(g, x, y, k, flex, trace):
             bridge = _path_within(g, b, y, set(range(g.n)) - (set(blk) - {b}))
             if bridge is None:
                 raise Disconnected("no path from the cut vertex to y")
-            return combine_across_cut(fam, bridge, side="suffix")
+            # every member grows by the same bridge, so the reading survives
+            return make_path_family([join_paths(m, bridge) for m in fam.members], cls=fam.cls)
         # the end block is the single edge xb: recurse on G - x
         trace.record("strip-degree-one-x")
         fam = _recurse_on(g, set(range(g.n)) - {x}, b, y, k, flex, trace)
         if fam is None:
             return None
-        return combine_across_cut(fam, (x, b), side="prefix")
+        return make_path_family([join_paths((x, b), m) for m in fam.members], cls=fam.cls)
     return None
 
 

@@ -284,17 +284,17 @@ def test_combinator_counts(l, phi):
     m = 3
     c = tuple(range(2 * m + 1))
     fan = make_path_family(fab([2 + 2 * i for i in range(l)], 0, m, 100))
-    assert odd_cycle_fan(c, 0, fan, phi).k == 2 * l
+    assert odd_cycle_fan(c, fan, phi).k == 2 * l
 
     if phi == 0 and l >= 2:
         for j in range(1, l):
             sl = [2 + 2 * i if i < j else 1 + 2 * i for i in range(l)]
             semi_fan = make_path_family(fab(sl, 0, m, 100), cls=FamilyClass(SEMI, j))
-            assert odd_cycle_fan(c, 0, semi_fan, 0).k == 2 * l - 1
+            assert odd_cycle_fan(c, semi_fan, 0).k == 2 * l - 1
 
     if l >= 2:
         xf = make_path_family(fab([2 + 2 * i for i in range(l - 1)], 99, m, 100))
-        assert odd_cycle_x_fan(c, 0, 99, xf, l).k == 2 * l
+        assert odd_cycle_x_fan(c, 99, xf, l).k == 2 * l
 
 
 # -- criterion 7: certificate round trip and mutation detection ---------------

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from cyclemod import certify, cycles
@@ -44,6 +45,21 @@ def test_paths_bad_file():
     res = run("paths", "--graph", "g", "--x", "0", "--y", "1", "--k", "1",
               files={"g": "p x\nnot a graph\n"})
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("paths", "--x", "9", "--y", "1", "--k", "1"),
+    ("paths", "--x", "0", "--y", "0", "--k", "1"),
+    ("paths", "--x", "0", "--y", "1", "--k", "0"),
+    ("paths", "--x", "0", "--y", "1", "--k", "0", "--mode", "flex"),
+    ("paths", "--x", "0", "--y", "-1", "--k", "1", "--oracle"),
+    ("cycles", "--k", "0", "--mod"),
+    ("cycles", "--k", "0", "--oracle"),
+])
+def test_bad_roots_or_k_exit_1(args):
+    res = run(*args, "--graph", "g", files={"g": K5})
+    assert res.exit_code == 1
+    assert res.stdout == ""
 
 
 def test_non_integer_k_exits_1():

@@ -1,5 +1,6 @@
 """Cycle-family extraction: witness finding, branch dispatch, residues."""
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -478,6 +479,28 @@ def test_long_witness_fans_from_u():
     fam, branch = find_k_cycles(g, 3, trace=trace)
     validate_cycle_family(g, fam)
     assert branch == "II" and fam.k == 3 and trace.branches[-1] == "antipode-fan"
+
+
+# SHA-256 of the find_k_cycles(g, 3) certificates of FAN_REQUESTS, in order
+FAN_SHA256 = "9eee79a14cf617222b9c525f57b7ce45e74e5fdad9c4888212f65e8a61507c95"
+FAN_REQUESTS = [(n, s) for s in ((1, 3), (1, 4)) for n in range(11, 32, 2)] + [(25, (1, 5))]
+
+
+def test_long_witness_fans_are_pinned():
+    # no graph on n <= 7 vertices reaches the long-witness fans, so the
+    # atlas digests do not cover them: these circulants do, with an x-fan
+    # in 19 requests and a u-fan in the other 4
+    digest = hashlib.sha256()
+    fans = Counter()
+    for n, steps in FAN_REQUESTS:
+        g = circulant(n, steps)
+        trace = ExtractionTrace()
+        fam, branch = find_k_cycles(g, 3, trace=trace)
+        fans[trace.branches[-1]] += 1
+        cert = certify.make_certificate(g, "cycles", 3, fam, branch=branch, trace=trace)
+        digest.update(certify.to_json(cert).encode())
+    assert fans == {"antipode-x-fan": 19, "antipode-fan": 4}
+    assert digest.hexdigest() == FAN_SHA256
 
 
 def test_branch_iii_examples():

@@ -14,7 +14,6 @@ from cyclemod.families import (
     class_holds,
     classify,
     close_cycle,
-    combine_across_cut,
     glue_two_sided_length,
     glue_two_sided_semilength,
     join_paths,
@@ -103,14 +102,6 @@ def test_close_cycle():
         close_cycle((0, 2, 1), (0, 2, 1))
     with pytest.raises(InvalidWitness):
         close_cycle((0, 1), (0, 1))
-
-
-def test_combine_across_cut_preserves_class():
-    fam = make_path_family(fab_paths(length_lengths(3)))
-    assert fam.cls.kind == LENGTH
-    longer = combine_across_cut(fam, (1, 90, 91), side="suffix")
-    assert longer.cls.kind == LENGTH
-    assert longer.lengths() == [l + 2 for l in fam.lengths()]
 
 
 # -- table combinators (row-schedule arithmetic, all l <= 5) -----------------
@@ -211,7 +202,7 @@ def test_odd_cycle_fan_length_counts(l, phi):
     m = 3
     c = tuple(range(2 * m + 1))
     fam = make_path_family(fab_fan_paths(length_lengths(l, a=2), c, end=m))
-    out = odd_cycle_fan(c, 0, fam, phi)
+    out = odd_cycle_fan(c, fam, phi)
     assert out.cls.kind == CONSECUTIVE
     assert out.k == 2 * l
 
@@ -223,7 +214,7 @@ def test_odd_cycle_fan_semi_counts(l):
     for j in range(1, l):
         fam = make_path_family(fab_fan_paths(semi_lengths(l, j, a=2), c, end=m),
                                cls=FamilyClass(SEMI, j))
-        out = odd_cycle_fan(c, 0, fam, phi=0)
+        out = odd_cycle_fan(c, fam, phi=0)
         assert out.cls.kind == CONSECUTIVE
         assert out.k == 2 * l - 1
 
@@ -239,7 +230,7 @@ def test_odd_cycle_x_fan_counts(l):
         nxt += length - 1
         members.append(tuple([x] + inner + [m]))
     fam = make_path_family(members)
-    out = odd_cycle_x_fan(c, 0, x, fam, l)
+    out = odd_cycle_x_fan(c, x, fam, l)
     assert out.cls.kind == CONSECUTIVE
     assert out.k == 2 * l
 

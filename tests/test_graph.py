@@ -200,7 +200,6 @@ def test_shortest_path_with_forbidden():
     g = cycle_graph(6)
     assert shortest_path(g, 0, 3) in ((0, 1, 2, 3), (0, 5, 4, 3))
     assert shortest_path(g, 0, 3, forbidden=(1,)) == (0, 5, 4, 3)
-    assert shortest_path(g, 0, 2, forbidden=(1,), forbidden_edges=((3, 4),)) is None
 
 
 def test_parse_format_round_trip_explicit():

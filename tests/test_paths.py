@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from cyclemod import oraclekern, paths
-from cyclemod.cycles import find_k_cycles
+from cyclemod.cycles import find_k_cycles, oracle_cycles
 from cyclemod.errors import HypothesisNotMet, InvalidArgument
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_graph, induced
@@ -56,8 +56,10 @@ def test_oracle_paths_k5():
     lambda g: path_length_set(g, -1, 0),
     lambda g: find_path_with_length(g, 9, 0, 2),
     lambda g: find_path_with_length(g, -1, 0, 2),
+    lambda g: oracle_cycles(g, 0),
 ], ids=["oracle-root-9", "oracle-y-9", "oracle-root-negative", "oracle-k-0", "oracle-x-is-y",
-        "lengths-root-9", "lengths-root-negative", "witness-root-9", "witness-root-negative"])
+        "lengths-root-9", "lengths-root-negative", "witness-root-9", "witness-root-negative",
+        "cycles-k-0"])
 def test_bad_oracle_arguments_raise_before_any_search(monkeypatch, call):
     def no_search(*args):
         raise AssertionError("searched before checking the arguments")

@@ -63,19 +63,22 @@ def find_core(g, x, y):
 
     Every S containing x, avoiding y, with 2 <= |S| <= (n - 1) / 2 is
     visited, by a depth-first walk that adds vertices in increasing order
-    and carries the common neighborhood of S as a bitmask.  The selection
-    key differs for every S, so the order of the walk cannot change the
-    winner.  Only an S with |T| >= |S| whose (|S|, |T|) is not below the
-    best key so far pays for the rest of its key: the component of y is
-    flooded on the same bitmasks.  The visited sets count against the
-    default node budget, one frame's children at a time, and
-    BudgetExceeded is raised once the count passes it.
+    and carries the common neighborhood of S as a bitmask.  The walk is one
+    loop over an explicit stack of the frames on the path, so a deep S costs
+    no Python recursion.  The selection key differs for every S, so the
+    order of the walk cannot change the winner.  Only an S with |T| >= |S|
+    whose (|S|, |T|) is not below the best key so far pays for the rest of
+    its key: the component of y is flooded on the same bitmasks.  The
+    visited sets count against the default node budget, one frame's
+    children at a time, and BudgetExceeded is raised once the count
+    passes it.
 
     The common neighborhood only shrinks as S grows, so a frame whose S
     has fewer than |S| + 1 common neighbors is dead: no child can reach
-    |T| >= |S|.  A dead frame is entered and charged like any other, but
-    tests no child; at the last level, |S| + 1 = (n - 1) // 2, it returns
-    as soon as it is charged, and an inner one only walks on.
+    |T| >= |S|.  A dead frame is charged like any other and none of its
+    children is considered; at the last level, |S| + 1 = (n - 1) // 2, it
+    is charged by its parent and never entered, and an inner one only
+    walks on.
 
     Precondition, not checked here: (G, x, y) is rooted 2-connected.  The
     path engine establishes it before it asks for a core.
@@ -87,7 +90,6 @@ def find_core(g, x, y):
     last = len(others)
     max_size = (g.n - 1) // 2
     budget = default_budget()
-    charged = 0
     best_key = None
     best = None
 
@@ -119,28 +121,38 @@ def find_core(g, x, y):
                 component_c=tuple(mask_bits(comp)),
             )
 
-    def walk(start, s_mask, common, size):
-        # the children of S are S + others[i] for i >= start, of `size`
-        nonlocal charged
-        charged += last - start
+    if max_size >= 2:
+        # the frame being walked lives in (i, s_mask, common, size): its
+        # children are S + others[j] for j >= i, of `size`; `stack` holds the
+        # frames below it on the path, suspended at their next child
+        charged = last
         if charged > budget:
             raise BudgetExceeded(f"core search exceeded {budget} subsets")
-        if common.bit_count() < size:
-            # dead: T(S + v) lies in T(S), too small for any child; only the
-            # walk below (charged as every frame is) is left to do
-            if size < max_size:
-                for i in range(start, last):
-                    walk(i + 1, s_mask | bits[i], common & masks[i], size + 1)
-            return
-        for i in range(start, last):
+        stack = []
+        i, s_mask, common, size = 0, 1 << x, adj[x] & ~(1 << y), 2
+        while True:
+            if i == last:
+                if not stack:
+                    break
+                i, s_mask, common, size = stack.pop()
+                continue
             child = common & masks[i]
-            if child.bit_count() >= size:
-                consider(s_mask | bits[i], child, size)
+            fit = child.bit_count()
+            child_s = s_mask | bits[i]
+            i += 1
+            if fit >= size:
+                consider(child_s, child, size)
             if size < max_size:
-                walk(i + 1, s_mask | bits[i], child, size + 1)
+                # the child frame is charged for its own children
+                charged += last - i
+                if charged > budget:
+                    raise BudgetExceeded(f"core search exceeded {budget} subsets")
+                if fit > size or size + 1 < max_size:
+                    # a dead last-level frame would only return; the child
+                    # starts at the next index, which `i` already holds
+                    stack.append((i, s_mask, common, size))
+                    s_mask, common, size = child_s, child, size + 1
 
-    if max_size >= 2:
-        walk(0, 1 << x, adj[x] & ~(1 << y), 2)
     if best is not None:
         ok, report = verify_core(g, best)
         if not ok:

@@ -28,7 +28,7 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import _coloring, _girth, adj_masks, girth, mask_bits
+from .graph import _coloring, _girth, adj_masks, girth, is_connected, mask_bits
 from .decompose import (
     _contracts_to_k4,
     _low_link,
@@ -160,13 +160,16 @@ def check_witness(g, w):
     for v in cset:
         if len(g.adj[v] & cset) != 2:
             return False, f"not induced at {v}"
-    walk = _low_link(g, cset)  # the cut vertices of G - V(C), or None
-    if walk is None:
-        return False, "separating"
     if w.kind == WITNESS_TRIANGLE:
+        # a flood is enough: only the two-neighbor kind needs the cut vertices
+        if not is_connected(g, ignore=cset):
+            return False, "separating"
         if len(c) != 3:
             return False, "triangle witness of length != 3"
         return True, None
+    walk = _low_link(g, cset)  # the cut vertices of G - V(C), or None
+    if walk is None:
+        return False, "separating"
     if w.kind != WITNESS_TWO_NEIGHBOR:
         return False, f"unknown witness kind {w.kind!r}"
     n_c = len(c)

@@ -339,36 +339,22 @@ def _case_no_core(g, x, y, k, flex, trace):
                 return fam
         return None
 
-    blk, blk_ok = _block_of(gstar, x_star, y_star)
-    if blk_ok and len(blk) >= 3:
+    # G is 2-connected and N[x] connected, so a cut vertex of G* other than x*
+    # would cut G: y* is no cut vertex, and its one block holds x*
+    blk = next(b for b in block_cut_tree(gstar).blocks if y_star in b)
+    if len(blk) >= 3:
         inside = set(blk) - {x_star}
         verts = [v for v in range(g.n) if to_new[v] in inside]
-        fam = _attempt(
+        return _attempt(
             trace,
             "contract-neighborhood",
             lambda: _contract_recurse(g, x, y, k, flex, trace, verts),
         )
-        if fam is not None:
-            return fam
-    if set(blk) == {x_star, y_star}:
-        fam = _attempt(
-            trace,
-            "split-common-neighborhood",
-            lambda: _twin_roots(g, x, y, k, flex, trace),
-        )
-        if fam is not None:
-            return fam
-    return None
-
-
-def _block_of(gstar, x_star, y_star):
-    """(block, True) for the block of G* holding y and x*, else (the first
-    block holding y, False); G* is connected, so some block holds y."""
-    holding_y = [blk for blk in block_cut_tree(gstar).blocks if y_star in blk]
-    for blk in holding_y:
-        if x_star in blk:
-            return blk, True
-    return holding_y[0], False
+    return _attempt(
+        trace,
+        "split-common-neighborhood",
+        lambda: _twin_roots(g, x, y, k, flex, trace),
+    )
 
 
 def _tiny_semi(g, x, y):
@@ -399,8 +385,6 @@ def _twin_roots(g, x, y, k, flex, trace):
     """N(y) = N(x): route through a component of G - (N(x) u {x, y}) whose
     neighborhood splits into two super-attachment classes."""
     nx = set(g.adj[x])
-    if not set(g.adj[y]) <= nx:
-        return None
     if set(g.adj[y]) != nx:
         raise InvariantViolated("degree order should force equal neighborhoods")
     outside = set(range(g.n)) - nx - {x, y}

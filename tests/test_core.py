@@ -5,7 +5,9 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from click.testing import CliRunner
 
+from cyclemod.cli import main
 from cyclemod.errors import BudgetExceeded, HypothesisNotMet
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
@@ -15,6 +17,7 @@ from cyclemod.graph import (
     complete_graph,
     components,
     cycle_graph,
+    format_graph,
     mask_bits,
 )
 from cyclemod.core import (
@@ -26,7 +29,7 @@ from cyclemod.core import (
     verify_core,
 )
 from cyclemod.families import LENGTH, SEMI, path_len
-from cyclemod.paths import find_paths_length
+from cyclemod.paths import find_paths_flex, find_paths_length
 
 
 def petersen():
@@ -174,6 +177,29 @@ def test_find_core_charges_every_enumerated_subset(monkeypatch):
     monkeypatch.setenv("CYCLEMOD_BUDGET", str(subsets - 1))
     with pytest.raises(BudgetExceeded):
         find_core(g, 0, 1)
+
+
+def _generalised_petersen(n):
+    """GP(n, 2): outer cycle i ~ i + 1, spokes i ~ n + i, inner edges
+    n + i ~ n + (i + 2 mod n); cubic."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + 2) % n) for i in range(n)]
+    return Graph(2 * n, edges)
+
+
+def test_a_deep_core_search_exceeds_its_budget_without_recursion():
+    # the core walk on GP(n, 2) reaches sets of (n - 1) // 2 vertices, far
+    # past Python's recursion limit, and must still end in exit 6
+    with pytest.raises(BudgetExceeded):
+        find_paths_flex(_generalised_petersen(300), 0, 300, 2)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("g", "w") as fh:
+            fh.write(format_graph(_generalised_petersen(1000)))
+        res = runner.invoke(main, ["cycles", "--graph", "g", "--k", "2"])
+    assert res.exit_code == 6, res.exception
+    assert "budget exceeded" in res.stderr
 
 
 # -- the walk against the walk it was before the dead-frame skip -------------

@@ -4,6 +4,7 @@ import hashlib
 from collections import Counter
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from cyclemod import certify, cycles, decompose, oraclekern
@@ -42,7 +43,7 @@ from cyclemod.oraclekern import (
     find_cycle_with_length,
     find_path_with_length,
 )
-from cyclemod.decompose import cut_vertices, two_separations
+from cyclemod.decompose import _low_link, cut_vertices, two_separations
 from cyclemod.paths import ExtractionTrace
 from cyclemod.smallgraphs import connected_graphs, two_connected_graphs
 
@@ -383,6 +384,22 @@ def test_check_witness_matches_the_two_traversal_version_on_the_atlas():
     # every rejection that reads G - V(C) occurs
     assert {"ok", "separating", "triangle witness of length != 3"} <= set(verdicts), verdicts
     assert any(r.startswith("vertex ") for r in verdicts), verdicts
+
+
+def test_triangle_witness_flood_matches_the_walk_on_the_atlas():
+    # a triangle is decided by a flood of G - V(C), which must agree with
+    # the low-link walk that the two-neighbor kind still makes
+    verdicts = Counter()
+    for atlas_graph in nx.graph_atlas_g():
+        g = Graph(atlas_graph.number_of_nodes(), list(atlas_graph.edges()))
+        for tri in combinations(range(g.n), 3):
+            if not all(g.has_edge(a, b) for a, b in combinations(tri, 2)):
+                continue
+            by_walk = (False, "separating") if _low_link(g, set(tri)) is None else (True, None)
+            got = check_witness(g, OddCycleWitness(tri, "triangle"))
+            assert got == by_walk, (g.edges(), tri)
+            verdicts[got] += 1
+    assert verdicts[(True, None)] > 0 and verdicts[(False, "separating")] > 0, verdicts
 
 
 # -- branch extractors -------------------------------------------------------

@@ -113,6 +113,35 @@ def test_one_subproblem_builder():
     assert "_recurse_on_sub" not in defined
 
 
+def _self_calls(node, prefix):
+    """Qualified names of the functions under `node`, nested ones included,
+    whose body calls them by their own name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == child.name
+                   for c in ast.walk(child)):
+                yield name
+            yield from _self_calls(child, name)
+        else:
+            yield from _self_calls(child, prefix)
+
+
+def test_only_shallow_functions_recurse():
+    # Python recursion stops at about 1000 frames, so a search that is as
+    # deep as the graph is large walks an explicit stack instead
+    allowed = {
+        # a frame per vertex of the odd cycle it closes; the budget stops it first
+        "cycles.find_nonsep_induced_odd_cycle.cycles_at.extend",
+        # once, with the roots swapped to put the smaller degree at x
+        "paths._engine",
+    }
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= set(_self_calls(ast.parse(path.read_text(), filename=str(path)), path.stem))
+    assert found == allowed
+
+
 def _reads_the_environment(node):
     """Does node name CYCLEMOD_BUDGET or reach the process environment?"""
     if isinstance(node, ast.Constant):

@@ -167,7 +167,7 @@ def verify(cert):
     lengths = [len(m) if is_cycles else len(m) - 1 for m in members]
     try:
         declared = FamilyClass(kind, switch)
-    except Exception:
+    except InvalidArgument:
         return _fail("inconsistent class/switch")
     if not class_holds(lengths, declared):
         return _fail(f"declared class {kind!r} fails for lengths {lengths}")

@@ -41,6 +41,7 @@ from .families import (
     LENGTH,
     FamilyClass,
     close_cycle,
+    first_window,
     glue_two_sided_length,
     glue_two_sided_semilength,
     join_paths,
@@ -116,16 +117,18 @@ def _oracle_cycles(g, k, bipartite, adj=None):
                 absent |= 1 << length
         return found[length] is not None
 
-    for kind, step in ((CONSECUTIVE, 1), (LENGTH, 2)):
-        window = sum(1 << (step * i) for i in range(k))  # bit i * step: length a + i * step
-        for a in range(shortest, g.n + 1):
-            # a window with a length known to be absent costs no search
-            if absent >> a & window:
-                continue
-            want = range(a, a + step * k, step)
-            if all(map(realized, want)):
-                return make_cycle_family([found[length] for length in want], cls=FamilyClass(kind))
-    return None
+    def fits(want):
+        window = 0
+        for length in want:
+            window |= 1 << length
+        # a window with a length known to be absent costs no search
+        return not absent & window and all(map(realized, want))
+
+    hit = first_window([[FamilyClass(CONSECUTIVE)], [FamilyClass(LENGTH)]], k, shortest, g.n, fits)
+    if hit is None:
+        return None
+    cls, want = hit
+    return make_cycle_family([found[length] for length in want], cls=cls)
 
 
 # -- the odd-cycle witness ---------------------------------------------------

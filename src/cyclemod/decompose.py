@@ -273,6 +273,4 @@ def feasible_end_blocks(c, y, without=()):
     leaves = leaf_blocks(c, without)
     if not leaves:
         return [], True
-    out = [(blk, b) for blk, b in leaves if y not in blk or y == b]
-    out.sort(key=lambda item: min(item[0]))
-    return out, False
+    return [(blk, b) for blk, b in leaves if y not in blk or y == b], False

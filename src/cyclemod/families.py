@@ -8,6 +8,10 @@ Conditions on an ordered list of lengths (first length always >= 2):
 * semi-length      — exactly one difference of 1 (at the "switch" index j,
   counted 1-based: len[j+1] - len[j] == 1), all others 2
 
+``pattern`` writes each condition once, as the offsets of a family's
+lengths from its first length; the class checks and the oracles' window
+scan (``first_window``) read it.
+
 A single-length list, and a 2-member list with difference 1, satisfy more
 than one reading; ``classify`` resolves with the fixed priority
 length > consecutive > semi-length, and callers that need the semi reading
@@ -38,33 +42,18 @@ class FamilyClass:
             raise InvalidArgument("only semi-length has a switch")
 
 
-def semi_switch(lengths):
-    """Switch index if lengths fit the semi-length condition, else None."""
-    if not lengths or lengths[0] < 2:
-        return None
-    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
-    ones = [i for i, d in enumerate(diffs) if d == 1]
-    if len(ones) == 1 and all(d == 2 for i, d in enumerate(diffs) if i != ones[0]):
-        return ones[0] + 1  # 1-based switch
+def pattern(cls, k):
+    """Offsets of the k lengths of a family of class cls from its first
+    length, or None when no k-member family has that class: 0, 1, .., k - 1
+    (consecutive), 0, 2, .., 2k - 2 (length condition), or 2i, one less
+    from the switch on (semi-length, 1 <= switch < k)."""
+    if cls.kind == CONSECUTIVE:
+        return range(k)
+    if cls.kind == LENGTH:
+        return range(0, 2 * k, 2)
+    if cls.kind == SEMI and 1 <= cls.switch < k:
+        return [2 * i - (i >= cls.switch) for i in range(k)]
     return None
-
-
-def classify(lengths):
-    """FamilyClass of a length list, or FamilyClass(UNCLASSIFIED)."""
-    lengths = list(lengths)
-    if not lengths:
-        raise InvalidArgument("classify needs a nonempty list")
-    if lengths[0] < 2:
-        return FamilyClass(UNCLASSIFIED)
-    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
-    if all(d == 2 for d in diffs):
-        return FamilyClass(LENGTH)
-    if all(d == 1 for d in diffs):
-        return FamilyClass(CONSECUTIVE)
-    sw = semi_switch(lengths)
-    if sw is not None:
-        return FamilyClass(SEMI, sw)
-    return FamilyClass(UNCLASSIFIED)
 
 
 def class_holds(lengths, cls):
@@ -73,14 +62,43 @@ def class_holds(lengths, cls):
     lengths = list(lengths)
     if not lengths or lengths[0] < 2:
         return False
-    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
-    if cls.kind == LENGTH:
-        return all(d == 2 for d in diffs)
-    if cls.kind == CONSECUTIVE:
-        return all(d == 1 for d in diffs)
-    if cls.kind == SEMI:
-        return semi_switch(lengths) == cls.switch
-    return False
+    offsets = pattern(cls, len(lengths))
+    return offsets is not None and [lengths[0] + d for d in offsets] == lengths
+
+
+def semi_switch(lengths):
+    """Switch index if lengths fit the semi-length condition, else None."""
+    return next(
+        (j for j in range(1, len(lengths)) if class_holds(lengths, FamilyClass(SEMI, j))), None
+    )
+
+
+def classify(lengths):
+    """FamilyClass of a length list, or FamilyClass(UNCLASSIFIED)."""
+    lengths = list(lengths)
+    if not lengths:
+        raise InvalidArgument("classify needs a nonempty list")
+    for kind in (LENGTH, CONSECUTIVE):
+        if class_holds(lengths, FamilyClass(kind)):
+            return FamilyClass(kind)
+    sw = semi_switch(lengths)
+    return FamilyClass(UNCLASSIFIED) if sw is None else FamilyClass(SEMI, sw)
+
+
+def first_window(groups, k, lo, hi, fits):
+    """The first (class, lengths) whose k lengths `fits` accepts, None if
+    there is none.  A class cls with first length a has the lengths
+    a + pattern(cls, k).  The groups of classes are scanned in order; within
+    a group the first lengths lo..hi ascending, and at each first length
+    the classes of the group in order."""
+    for group in groups:
+        offsets = [(cls, pattern(cls, k)) for cls in group]
+        for a in range(lo, hi + 1):
+            for cls, off in offsets:
+                lengths = [a + d for d in off]
+                if fits(lengths):
+                    return cls, lengths
+    return None
 
 
 # -- witnesses -----------------------------------------------------------
@@ -97,12 +115,7 @@ def path_ok(g, seq):
 
 def cycle_ok(g, seq):
     """seq (no repeated start) is a simple cycle in g of length >= 3."""
-    if len(seq) < 3 or len(seq) != len(set(seq)):
-        return False
-    if not all(0 <= v < g.n for v in seq):
-        return False
-    closed = list(seq) + [seq[0]]
-    return all(g.has_edge(a, b) for a, b in zip(closed, closed[1:]))
+    return len(seq) >= 3 and path_ok(g, seq) and g.has_edge(seq[-1], seq[0])
 
 
 def path_len(seq):
@@ -133,26 +146,32 @@ class Family:
         return [f(m) for m in self.members]
 
 
+def _make_family(members, cls, is_cycles):
+    members = tuple(tuple(m) for m in members)
+    lengths = [cycle_len(m) if is_cycles else path_len(m) for m in members]
+    if cls is None:
+        cls = classify(lengths)
+    elif not class_holds(lengths, cls):
+        raise InvalidWitness(f"lengths {lengths} do not admit the reading {cls}")
+    return Family(members, cls, is_cycles)
+
+
 def make_path_family(members, cls=None):
     """Path family; classification auto-derived unless an explicit (valid)
     reading is supplied."""
-    members = tuple(tuple(m) for m in members)
-    lengths = [path_len(m) for m in members]
-    if cls is None:
-        cls = classify(lengths)
-    elif not class_holds(lengths, cls):
-        raise InvalidWitness(f"lengths {lengths} do not admit the reading {cls}")
-    return Family(members, cls, False)
+    return _make_family(members, cls, False)
 
 
 def make_cycle_family(members, cls=None):
-    members = tuple(tuple(m) for m in members)
-    lengths = [cycle_len(m) for m in members]
-    if cls is None:
-        cls = classify(lengths)
-    elif not class_holds(lengths, cls):
-        raise InvalidWitness(f"lengths {lengths} do not admit the reading {cls}")
-    return Family(members, cls, True)
+    return _make_family(members, cls, True)
+
+
+def _check_class(fam, allowed):
+    if not class_holds(fam.lengths(), fam.cls):
+        raise InvalidWitness(f"declared class {fam.cls} fails for lengths {fam.lengths()}")
+    if fam.cls.kind not in allowed:
+        raise InvalidWitness(f"class {fam.cls.kind} not allowed here")
+    return fam
 
 
 def validate_path_family(g, fam, x=None, y=None, allowed=(LENGTH, SEMI, CONSECUTIVE)):
@@ -167,11 +186,7 @@ def validate_path_family(g, fam, x=None, y=None, allowed=(LENGTH, SEMI, CONSECUT
             raise InvalidWitness(f"member does not start at {x}: {m}")
         if y is not None and m[-1] != y:
             raise InvalidWitness(f"member does not end at {y}: {m}")
-    if not class_holds(fam.lengths(), fam.cls):
-        raise InvalidWitness(f"declared class {fam.cls} fails for lengths {fam.lengths()}")
-    if fam.cls.kind not in allowed:
-        raise InvalidWitness(f"class {fam.cls.kind} not allowed here")
-    return fam
+    return _check_class(fam, allowed)
 
 
 def validate_cycle_family(g, fam, allowed=(LENGTH, CONSECUTIVE)):
@@ -180,11 +195,7 @@ def validate_cycle_family(g, fam, allowed=(LENGTH, CONSECUTIVE)):
     for m in fam.members:
         if not cycle_ok(g, m):
             raise InvalidWitness(f"not a cycle in the host graph: {m}")
-    if not class_holds(fam.lengths(), fam.cls):
-        raise InvalidWitness(f"declared class {fam.cls} fails for lengths {fam.lengths()}")
-    if fam.cls.kind not in allowed:
-        raise InvalidWitness(f"class {fam.cls.kind} not allowed here")
-    return fam
+    return _check_class(fam, allowed)
 
 
 # -- path surgery helpers ------------------------------------------------

@@ -49,9 +49,6 @@ class Graph:
     def has_edge(self, u, v):
         return v in self.adj[u]
 
-    def vertices(self):
-        return range(self.n)
-
     def edges(self):
         """Sorted list of edges as (u, v) with u < v."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]

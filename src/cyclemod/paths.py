@@ -55,6 +55,7 @@ from .families import (
     LENGTH,
     SEMI,
     FamilyClass,
+    first_window,
     join_paths,
     make_path_family,
     reverse_family,
@@ -85,56 +86,34 @@ class ExtractionTrace:
 # -- oracle side -----------------------------------------------------------
 
 
-def find_pattern(lengths, k, flex):
-    """First admissible length pattern drawn from a realizable-length set.
-
-    Returns ("length", a, None) or ("semi", a, switch) where a is the first
-    length, or None if no k-term pattern is realizable.  A family of k
-    (x, y)-paths with a given pattern exists iff each pattern length is
-    individually realizable, because the members need not be disjoint.
-    """
-    lengths = set(lengths)
-    if k < 1:
-        raise InvalidArgument("k must be positive")
-    top = max(lengths, default=1)
-    for a in range(2, top + 1):
-        if all(a + 2 * i in lengths for i in range(k)):
-            return (LENGTH, a, None)
-    if flex:
-        for a in range(2, top + 1):
-            for j in range(1, k):
-                want = [a + 2 * i if i < j else a + 2 * i - 1 for i in range(k)]
-                if all(w in lengths for w in want):
-                    return (SEMI, a, j)
-    return None
-
-
 def oracle_paths(g, x, y, k, flex=False):
     """Exhaustively decide and materialize a k-path family, or None.
 
     Independent of the constructive engine: enumerates the exact set of
-    (x, y)-path lengths, finds the first admissible pattern, and realizes
-    one witness per length.  Raises InvalidArgument, before any search,
-    unless k >= 1 and x, y are two distinct vertices of g.
+    (x, y)-path lengths, finds the first window of lengths it holds (the
+    length condition, then with flex the semi-length condition; the
+    smallest first length, then the smallest switch), and realizes one
+    witness per length.  A family of k (x, y)-paths with given lengths
+    exists iff each length is realizable, because the members need not be
+    disjoint.  Raises InvalidArgument, before any search, unless k >= 1 and
+    x, y are two distinct vertices of g.
     """
     _check_request(g, x, y, k)
     lengths = path_length_set(g, x, y)
-    hit = find_pattern(lengths, k, flex)
+    groups = [[FamilyClass(LENGTH)]]
+    if flex:
+        groups.append([FamilyClass(SEMI, j) for j in range(1, k)])
+    hit = first_window(groups, k, 2, max(lengths, default=1), lengths.issuperset)
     if hit is None:
         return None
-    kind, a, switch = hit
+    cls, want = hit
     members = []
-    for i in range(k):
-        want = a + 2 * i
-        if kind == SEMI and i >= switch:
-            want -= 1
-        p = find_path_with_length(g, x, y, want)
+    for length in want:
+        p = find_path_with_length(g, x, y, length)
         if p is None:
-            raise InvalidWitness(f"length {want} in the length set but not realizable")
+            raise InvalidWitness(f"length {length} in the length set but not realizable")
         members.append(p)
-    cls = FamilyClass(LENGTH) if kind == LENGTH else FamilyClass(SEMI, switch)
-    fam = make_path_family(members, cls=cls)
-    return validate_path_family(g, fam, x, y)
+    return validate_path_family(g, make_path_family(members, cls=cls), x, y)
 
 
 # -- shared plumbing --------------------------------------------------------

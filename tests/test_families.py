@@ -10,6 +10,7 @@ from cyclemod.families import (
     CONSECUTIVE,
     LENGTH,
     SEMI,
+    UNCLASSIFIED,
     FamilyClass,
     class_holds,
     classify,
@@ -83,6 +84,66 @@ def test_semi_condition_is_shift_invariant(k, a, c, data):
     j = data.draw(st.integers(1, k - 1))
     shifted = [length + c for length in semi_lengths(k, j, a)]
     assert class_holds(shifted, FamilyClass(SEMI, j))
+
+
+
+# The difference-based rules the pattern-based ones replaced, kept as the
+# reference they must match.
+
+def _ref_semi_switch(lengths):
+    if not lengths or lengths[0] < 2:
+        return None
+    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
+    ones = [i for i, d in enumerate(diffs) if d == 1]
+    if len(ones) == 1 and all(d == 2 for i, d in enumerate(diffs) if i != ones[0]):
+        return ones[0] + 1
+    return None
+
+
+def _ref_classify(lengths):
+    if lengths[0] < 2:
+        return FamilyClass(UNCLASSIFIED)
+    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
+    if all(d == 2 for d in diffs):
+        return FamilyClass(LENGTH)
+    if all(d == 1 for d in diffs):
+        return FamilyClass(CONSECUTIVE)
+    sw = _ref_semi_switch(lengths)
+    return FamilyClass(UNCLASSIFIED) if sw is None else FamilyClass(SEMI, sw)
+
+
+def _ref_class_holds(lengths, cls):
+    if not lengths or lengths[0] < 2:
+        return False
+    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
+    if cls.kind == LENGTH:
+        return all(d == 2 for d in diffs)
+    if cls.kind == CONSECUTIVE:
+        return all(d == 1 for d in diffs)
+    if cls.kind == SEMI:
+        return _ref_semi_switch(lengths) == cls.switch
+    return False
+
+
+def test_pattern_rules_match_the_difference_rules():
+    # every list of 1-6 lengths with first length 0-4 and steps 0-3
+    classes = [FamilyClass(kind) for kind in (LENGTH, CONSECUTIVE, UNCLASSIFIED)]
+    classes += [FamilyClass(SEMI, j) for j in range(-1, 8)]
+    count = 0
+    for k in range(1, 7):
+        for first in range(5):
+            for steps in itertools.product(range(4), repeat=k - 1):
+                lengths = list(itertools.accumulate(steps, initial=first))
+                count += 1
+                assert classify(lengths) == _ref_classify(lengths), lengths
+                assert semi_switch(lengths) == _ref_semi_switch(lengths), lengths
+                for cls in classes:
+                    holds = class_holds(lengths, cls)
+                    assert holds == _ref_class_holds(lengths, cls), (lengths, cls)
+                    # certify.verify rejects a forged switch through this
+                    if cls.kind == SEMI and not 0 < cls.switch < k:
+                        assert not holds, (lengths, cls)
+    assert count == 6825
 
 
 # -- path surgery ------------------------------------------------------------

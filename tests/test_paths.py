@@ -11,27 +11,65 @@ from cyclemod.errors import HypothesisNotMet, InvalidArgument
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_graph, induced
 from cyclemod.decompose import is_rooted_2_connected
-from cyclemod.families import LENGTH, SEMI, validate_path_family
+from cyclemod.families import LENGTH, SEMI, FamilyClass, first_window, validate_path_family
 from cyclemod.oraclekern import find_path_with_length, path_length_set
 from cyclemod.paths import (
     ExtractionTrace,
     _recurse_on,
     find_paths_flex,
     find_paths_length,
-    find_pattern,
     oracle_paths,
 )
 from cyclemod.smallgraphs import two_connected_graphs
 
 
+def _pick(lengths, k, flex):
+    """(class, lengths) of the window oracle_paths takes from a set of
+    realizable path lengths: the groups it scans, over first lengths
+    2..max."""
+    groups = [[FamilyClass(LENGTH)]]
+    if flex:
+        groups.append([FamilyClass(SEMI, j) for j in range(1, k)])
+    return first_window(groups, k, 2, max(lengths, default=1), set(lengths).issuperset)
+
+
 def test_find_pattern():
-    assert find_pattern({2, 4, 6}, 3, flex=False) == (LENGTH, 2, None)
-    assert find_pattern({3, 5}, 3, flex=False) is None
+    assert _pick({2, 4, 6}, 3, flex=False) == (FamilyClass(LENGTH), [2, 4, 6])
+    assert _pick({3, 5}, 3, flex=False) is None
     # lengths 2,3,5 realize the semi pattern with switch 1
-    assert find_pattern({2, 3, 5}, 3, flex=True) == (SEMI, 2, 1)
-    assert find_pattern({2, 3, 5}, 3, flex=False) is None
+    assert _pick({2, 3, 5}, 3, flex=True) == (FamilyClass(SEMI, 1), [2, 3, 5])
+    assert _pick({2, 3, 5}, 3, flex=False) is None
     # length pattern preferred over semi when both exist
-    assert find_pattern(set(range(2, 10)), 3, flex=True) == (LENGTH, 2, None)
+    assert _pick(set(range(2, 10)), 3, flex=True) == (FamilyClass(LENGTH), [2, 4, 6])
+
+
+def _ref_find_pattern(lengths, k, flex):
+    """The pattern search the window scan replaced, kept as its reference:
+    ("length", a, None) or ("semi", a, switch), or None."""
+    top = max(lengths, default=1)
+    for a in range(2, top + 1):
+        if all(a + 2 * i in lengths for i in range(k)):
+            return (LENGTH, a, None)
+    if flex:
+        for a in range(2, top + 1):
+            for j in range(1, k):
+                want = [a + 2 * i if i < j else a + 2 * i - 1 for i in range(k)]
+                if all(w in lengths for w in want):
+                    return (SEMI, a, j)
+    return None
+
+
+def test_window_scan_matches_the_pattern_search():
+    # every subset of {1, .., 10} as a length set, k = 1-4, flex off and on
+    cases = 0
+    for bits in range(1 << 10):
+        lengths = {v for v in range(1, 11) if bits >> (v - 1) & 1}
+        for k, flex in itertools.product(range(1, 5), (False, True)):
+            cases += 1
+            hit = _pick(lengths, k, flex)
+            got = None if hit is None else (hit[0].kind, hit[1][0], hit[0].switch)
+            assert got == _ref_find_pattern(lengths, k, flex), (lengths, k, flex)
+    assert cases == 8192
 
 
 def test_path_length_set_frozen_values():
@@ -204,3 +242,25 @@ def test_a_graph_that_holds_xy_gets_no_2_connectivity_walk(monkeypatch):
     x, y = g.edges()[0]
     find_paths_flex(g, x, y, 2)
     assert g not in walked and g.without_edge(x, y) in walked
+
+
+# networkx.random_regular_graph(3, 12, seed=2), as a literal
+CUBIC_12 = [(0, 1), (0, 4), (0, 6), (1, 6), (1, 9), (2, 3), (2, 7), (2, 8), (3, 5), (3, 9),
+            (4, 5), (4, 6), (5, 11), (7, 8), (7, 10), (8, 10), (9, 11), (10, 11)]
+# the root pairs whose flex k = 2 request falls back to the oracle: the best
+# core there has l = k - 1 and no construction of the core case fires
+CUBIC_12_GAPS = {(3, 7), (3, 8), (3, 10), (5, 0), (5, 1), (5, 6),
+                 (9, 0), (9, 4), (9, 6), (11, 2), (11, 7), (11, 8)}
+
+
+def test_the_flex_gaps_of_one_cubic_graph_are_pinned():
+    g = Graph(12, CUBIC_12)
+    gaps = set()
+    for x, y in itertools.permutations(range(12), 2):
+        trace = ExtractionTrace()
+        fam = find_paths_flex(g, x, y, 2, trace=trace)
+        validate_path_family(g, fam, x, y, allowed=(LENGTH, SEMI))
+        assert fam.k == 2
+        if trace.constructive_gap:
+            gaps.add((x, y))
+    assert gaps == CUBIC_12_GAPS

@@ -231,3 +231,33 @@ def test_every_top_level_name_is_referenced():
              for qualified, name in _defined_names(path)
              if name not in used and not (name.startswith("__") and name.endswith("__"))]
     assert not found, f"names and methods that nothing references: {found}"
+
+
+def _is_successive_differences(node):
+    """node is a comprehension `b - a for a, b in zip(x, x[1:])`, up to names."""
+    if not isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+        return False
+    it = node.generators[0].iter
+    return (isinstance(node.elt, ast.BinOp) and isinstance(node.elt.op, ast.Sub)
+            and isinstance(it, ast.Call) and getattr(it.func, "id", None) == "zip"
+            and len(it.args) == 2 and isinstance(it.args[1], ast.Subscript)
+            and ast.dump(it.args[0]) == ast.dump(it.args[1].value)
+            and ast.unparse(it.args[1].slice) == "1:")
+
+
+def test_length_patterns_are_written_once():
+    # families.pattern holds the steps of each length condition: no
+    # function takes the differences of a length list, and the window scan
+    # both oracles use lives next to it
+    diffs, defined = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name in ("pattern", "first_window"):
+                defined.append(f"{path.stem}.{node.name}")
+            if any(_is_successive_differences(c) for c in ast.walk(node)):
+                diffs.add(f"{path.stem}.{node.name}")
+    assert not diffs, f"functions computing successive differences: {sorted(diffs)}"
+    assert sorted(defined) == ["families.first_window", "families.pattern"]

@@ -318,8 +318,8 @@ def core_paths_semilength(g, core, k):
 
 
 def extend_from_core(g, core, fam, k):
-    """Convert k - l (T, y)-paths, internally disjoint from V(H), into k
-    (x, y)-paths of the same class.
+    """Convert k - l (T, y)-paths, each from a vertex of T to y and
+    internally disjoint from V(H), into k (x, y)-paths of the same class.
 
     Each member gets the hook x, t through H; the longest member is then
     re-routed through (x, t)-ladders of lengths 3, 5, ..., 2l + 1, which
@@ -344,14 +344,10 @@ def extend_from_core(g, core, fam, k):
 
     members = []
     for m in fam.members:
-        if m[0] == y:
-            m = tuple(reversed(m))
         if m[0] not in t_set or m[-1] != y:
             raise InvalidWitness("member must join T to y")
         members.append(join_paths((x, m[0]), m))
     last = fam.members[-1]
-    if last[0] == y:
-        last = tuple(reversed(last))
     for j in range(1, l + 1):
         lad = h_ladder_path(core, x, last[0], 2 * j + 1)
         members.append(join_paths(lad, last))

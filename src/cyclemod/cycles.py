@@ -4,7 +4,7 @@ lengths or k cycles satisfying the length condition.
 
 Dispatch:
 
-* k = 1: any cycle.
+* k = 1: a shortest cycle, the oracle's one-member window at the girth.
 * not 3-connected: split along a 2-cut, extract path families on both
   sides, and glue them into cycles (branch I).
 * 3-connected and non-bipartite: find a non-separating induced odd cycle
@@ -19,7 +19,6 @@ modulo k, which all_residues_mod_k packages up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
 )
-from .graph import _coloring, _girth, adj_masks, girth, is_connected, mask_bits
+from .graph import _coloring, _girth, adj_masks, is_connected, mask_bits
 from .decompose import (
     _contracts_to_k4,
     _low_link,
@@ -52,7 +51,7 @@ from .families import (
     residues_mod_k,
     validate_cycle_family,
 )
-from .oraclekern import _first_cycle, default_budget, find_cycle_with_length
+from .oraclekern import _first_cycle, default_budget
 from .paths import (
     ExtractionTrace,
     _BRANCH_ERRORS,
@@ -133,24 +132,13 @@ def _oracle_cycles(g, k, bipartite, adj=None):
 
 # -- the odd-cycle witness ---------------------------------------------------
 
-WITNESS_TRIANGLE = "triangle"
-WITNESS_TWO_NEIGHBOR = "two-neighbor"
 
-
-@dataclass(frozen=True)
-class OddCycleWitness:
-    """A non-separating induced odd cycle, in cyclic vertex order, together
-    with which property makes it usable: a triangle, or the rule that every
-    non-cut vertex of G - V(C) sends at most 2 edges to C, with equality
-    only toward the two neighbors u+, u- of a common vertex u."""
-
-    cycle: tuple
-    kind: str
-
-
-def check_witness(g, w):
-    """(True, None) or (False, reason) for an OddCycleWitness."""
-    c = w.cycle
+def check_witness(g, c):
+    """(True, None) or (False, reason) for a witness cycle c, in cyclic
+    vertex order: a non-separating induced odd cycle that is a triangle or
+    has the two-neighbor property, that every non-cut vertex of G - V(C)
+    sends at most 2 edges to C, with equality only toward the two
+    neighbors u+, u- of a common vertex u."""
     if len(c) < 3 or len(c) % 2 == 0:
         return False, "not an odd cycle"
     cset = set(c)
@@ -163,18 +151,14 @@ def check_witness(g, w):
     for v in cset:
         if len(g.adj[v] & cset) != 2:
             return False, f"not induced at {v}"
-    if w.kind == WITNESS_TRIANGLE:
-        # a flood is enough: only the two-neighbor kind needs the cut vertices
+    if len(c) == 3:
+        # a flood is enough: only the two-neighbor property needs the cut vertices
         if not is_connected(g, ignore=cset):
             return False, "separating"
-        if len(c) != 3:
-            return False, "triangle witness of length != 3"
         return True, None
     walk = _low_link(g, cset)  # the cut vertices of G - V(C), or None
     if walk is None:
         return False, "separating"
-    if w.kind != WITNESS_TWO_NEIGHBOR:
-        return False, f"unknown witness kind {w.kind!r}"
     n_c = len(c)
     for v in set(range(g.n)) - cset - walk[0]:
         hits = g.adj[v] & cset
@@ -189,79 +173,73 @@ def check_witness(g, w):
 
 def find_nonsep_induced_odd_cycle(g):
     """Smallest (by length, then lexicographic vertex set) non-separating
-    induced odd cycle satisfying the triangle or two-neighbor property,
-    or None (e.g. for bipartite inputs).
+    induced odd cycle that check_witness accepts, as a tuple in cyclic
+    order from its smallest vertex, or None (e.g. for bipartite inputs).
 
     A usable witness exists whenever G is 3-connected, non-bipartite and
     delta(G) >= 4.
 
     Only induced cycles are tested.  For each odd length, and each
-    smallest vertex s in increasing order, a chordless-path DFS from s
-    through the vertices above it collects the induced cycles of that
-    length; they are tested in lexicographic order before the next s.
-    The DFS keeps only vertices close enough to s, in G[{s} | {v > s}], to
-    close the cycle in the steps left.  Every extension counts against the
-    default node budget, one DFS frame at a time, and BudgetExceeded is
-    raised once the count passes it.
+    smallest vertex s in increasing order, a chordless-path search from s
+    through the vertices above it, on an explicit stack, collects the
+    induced cycles of that length; they are tested in lexicographic order
+    before the next s.  The search keeps only vertices close enough to s,
+    in G[{s} | {v > s}], to close the cycle in the steps left.  Every
+    extension counts against the default node budget, one popped path at
+    a time, and BudgetExceeded is raised once the count passes it.  All
+    cycles of one (length, s) are collected before any is tested, so the
+    order of the walk does not move the point where the budget runs out.
     """
     adj = adj_masks(g)
     budget = default_budget()
     charged = 0
-
-    def charge(cand):
-        nonlocal charged
-        charged += cand.bit_count()
-        if charged > budget:
-            raise BudgetExceeded(f"odd-cycle witness search exceeded {budget} nodes")
-
-    def cycles_at(s, length):
-        # the induced cycles s, p1, ..., p_last of `length` vertices above
-        # s, with p1 < p_last, as (vertex set, path) pairs in vertex-set
-        # order; the path is the cycle in cyclic order from s.  `ban` holds
-        # s and the vertices below it, the path, and the neighbors of its
-        # interior past p1
-        found = []
-        low = (2 << s) - 1
-        # reach[d]: the vertices within distance d of s in G[{s} | {v > s}]
-        reach = [1 << s]
-        ring = 1 << s
-        for _ in range(length - 2):
-            nxt = 0
-            for v in mask_bits(ring):
-                nxt |= adj[v]
-            ring = nxt & ~low & ~reach[-1]
-            reach.append(reach[-1] | ring)
-
-        def extend(path, ban):
-            end = path[-1]
-            closing = len(path) == length - 1
-            if closing:
-                cand = adj[end] & adj[s] & ~ban & ~((2 << path[1]) - 1)
-            else:
-                # the new vertex is length - len(path) edges from closing at s
-                cand = adj[end] & ~adj[s] & ~ban & reach[length - len(path)]
-            charge(cand)
-            for v in mask_bits(cand):
-                if closing:
-                    cycle = tuple(path + [v])
-                    found.append((tuple(sorted(cycle)), cycle))
-                else:
-                    extend(path + [v], ban | (1 << v) | adj[end])
-
-        first = adj[s] & ~low
-        charge(first)
-        for p1 in mask_bits(first):
-            extend([s, p1], low | (1 << p1))
-        return sorted(found)
-
     for length in range(3, g.n + 1, 2):
-        kind = WITNESS_TRIANGLE if length == 3 else WITNESS_TWO_NEIGHBOR
         for s in range(g.n - length + 1):
-            for _verts, cycle in cycles_at(s, length):
-                w = OddCycleWitness(cycle, kind)
-                ok, _reason = check_witness(g, w)
-                if ok:
-                    return w
+            low = (2 << s) - 1
+            # reach[d]: the vertices within distance d of s in G[{s} | {v > s}]
+            reach = [1 << s]
+            ring = 1 << s
+            for _ in range(length - 2):
+                nxt = 0
+                for v in mask_bits(ring):
+                    nxt |= adj[v]
+                ring = nxt & ~low & ~reach[-1]
+                reach.append(reach[-1] | ring)
+            # the induced cycles s, p1, ..., p_last of `length` vertices
+            # above s, with p1 < p_last, as (vertex set, cycle) pairs; a
+            # stacked path's `ban` holds s and the vertices below it, the
+            # path, and the neighbors of its interior past p1
+            found = []
+            stack = []
+            first = adj[s] & ~low
+            # checked with the first popped path; an empty `first` adds nothing
+            charged += first.bit_count()
+            for p1 in mask_bits(first):
+                stack.append(((s, p1), low | (1 << p1)))
+            while stack:
+                path, ban = stack.pop()
+                end = path[-1]
+                closing = len(path) == length - 1
+                if closing:
+                    cand = adj[end] & adj[s] & ~ban & ~((2 << path[1]) - 1)
+                else:
+                    # the new vertex is length - len(path) edges from closing at s
+                    cand = adj[end] & ~adj[s] & ~ban & reach[length - len(path)]
+                charged += cand.bit_count()
+                if charged > budget:
+                    raise BudgetExceeded(f"odd-cycle witness search exceeded {budget} nodes")
+                if closing:
+                    for v in mask_bits(cand):
+                        cycle = path + (v,)
+                        found.append((tuple(sorted(cycle)), cycle))
+                else:
+                    ban |= adj[end]
+                    for v in mask_bits(cand):
+                        stack.append((path + (v,), ban | (1 << v)))
+            found.sort()
+            for _verts, cycle in found:
+                if check_witness(g, cycle)[0]:
+                    return cycle
     return None
 
 
@@ -325,10 +303,10 @@ def _branch_ii(g, k, trace, adj):
         w = find_nonsep_induced_odd_cycle(g)
         if w is None:
             fam = None
-        elif len(w.cycle) == 3:
-            fam = _triangle_fans(g, k, w.cycle, trace)
+        elif len(w) == 3:
+            fam = _triangle_fans(g, k, w, trace)
         else:
-            fam = _long_witness(g, k, w.cycle, trace)
+            fam = _long_witness(g, k, w, trace)
     if fam is not None:
         return fam
     fam = _from_oracle(g, k, False, adj, trace, "oracle-fallback")
@@ -344,12 +322,6 @@ def _from_oracle(g, k, bipartite, adj, trace, tag):
         raise HypothesisNotMet(f"no family of {k} cycles exists at all")
     trace.record(tag)
     return fam
-
-
-def _any_cycle(g, shortest, trace):
-    c = find_cycle_with_length(g, shortest)
-    trace.record("single-cycle")
-    return make_cycle_family([c], cls=FamilyClass(CONSECUTIVE))
 
 
 def _two_cycles_from_edge(g, trace):
@@ -519,9 +491,9 @@ def find_k_cycles(g, k, trace=None):
         raise HypothesisNotMet(f"need minimum degree {k + 1}, got {g.min_degree()}")
     trace.record(f"branch-{branch}")
     if k == 1:
-        # branches II and III have already 2-colored g
-        shortest = girth(g) if branch == "I" else _girth(g, branch == "III")
-        fam = _any_cycle(g, shortest, trace)
+        # one cycle at the girth; branches II and III have already 2-colored g
+        bipartite = _coloring(g) is not None if branch == "I" else branch == "III"
+        fam = _from_oracle(g, 1, bipartite, adj, trace, "single-cycle")
     elif branch == "I":
         fam = _branch_i(g, k, separations, trace)
     elif branch == "II":

@@ -20,7 +20,6 @@ from cyclemod.graph import (
     is_connected,
 )
 from cyclemod.cycles import (
-    OddCycleWitness,
     all_residues_mod_k,
     branch_of,
     check_witness,
@@ -192,13 +191,13 @@ def test_oracle_cycles_searches_share_one_budget(monkeypatch):
 
 def test_witness_on_k4():
     w = find_nonsep_induced_odd_cycle(complete_graph(4))
-    assert w.kind == "triangle" and len(w.cycle) == 3
+    assert len(w) == 3
     assert check_witness(complete_graph(4), w) == (True, None)
 
 
 def test_witness_on_wheel():
     w = find_nonsep_induced_odd_cycle(wheel5())
-    assert len(w.cycle) == 3 and 5 in w.cycle  # hub triangles come first
+    assert len(w) == 3 and 5 in w  # hub triangles come first
 
 
 def test_witness_absent_on_bipartite():
@@ -207,9 +206,9 @@ def test_witness_absent_on_bipartite():
 
 def test_witness_long_cycles():
     w = find_nonsep_induced_odd_cycle(petersen())
-    assert len(w.cycle) == 5
+    assert len(w) == 5
     w = find_nonsep_induced_odd_cycle(circulant(13, (1, 5)))
-    assert len(w.cycle) == 5
+    assert len(w) == 5
     assert check_witness(circulant(13, (1, 5)), w) == (True, None)
 
 
@@ -246,10 +245,8 @@ def _witness_by_combinations(g):
             order = _cyclic_order(g, verts)
             if order is None:
                 continue
-            kind = "triangle" if length == 3 else "two-neighbor"
-            w = OddCycleWitness(order, kind)
-            if check_witness(g, w)[0]:
-                return w
+            if check_witness(g, order)[0]:
+                return order
     return None
 
 
@@ -284,7 +281,7 @@ def test_witness_matches_the_subset_loop_on_circulants(steps):
 
 def test_witness_search_is_budgeted(monkeypatch):
     g = petersen()  # triangle-free: the search passes every length-3 frame
-    assert len(find_nonsep_induced_odd_cycle(g).cycle) == 5
+    assert len(find_nonsep_induced_odd_cycle(g)) == 5
     monkeypatch.setenv("CYCLEMOD_BUDGET", "20")
     with pytest.raises(BudgetExceeded):
         find_nonsep_induced_odd_cycle(g)
@@ -308,7 +305,7 @@ def test_witness_on_a_circulant_with_a_21_vertex_shortest_odd_cycle():
     # without it
     g = circulant(61, (1, 3))
     w = find_nonsep_induced_odd_cycle(g)
-    assert w.cycle == (0, 1) + tuple(range(4, 59, 3)) and w.kind == "two-neighbor"
+    assert w == (0, 1) + tuple(range(4, 59, 3))
     trace = ExtractionTrace()
     fam, branch = find_k_cycles(g, 3, trace=trace)
     assert branch == "II" and fam.k == 3 and not trace.constructive_gap
@@ -317,20 +314,17 @@ def test_witness_on_a_circulant_with_a_21_vertex_shortest_odd_cycle():
 
 def test_check_witness_rejections():
     g = complete_graph(5)
-    ok, reason = check_witness(g, OddCycleWitness((0, 1, 2, 3), "triangle"))
+    ok, reason = check_witness(g, (0, 1, 2, 3))
     assert not ok and "odd" in reason
-    ok, reason = check_witness(g, OddCycleWitness((0, 1, 2), "two-neighbor"))
-    assert not ok  # triangle declared as the wrong kind
     # separating cycle: two triangles sharing one path
     h = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 0)])
-    ok, reason = check_witness(h, OddCycleWitness((0, 3, 4, 5), "triangle"))
+    ok, reason = check_witness(h, (0, 3, 4, 5))
     assert not ok
 
 
-def old_check_witness(g, w):
+def old_check_witness(g, c):
     """check_witness as it was before one low-link walk of G - V(C) replaced
     a connectivity flood plus the cut vertices of the induced G - V(C)."""
-    c = w.cycle
     if len(c) < 3 or len(c) % 2 == 0:
         return False, "not an odd cycle"
     cset = set(c)
@@ -345,12 +339,8 @@ def old_check_witness(g, w):
             return False, f"not induced at {v}"
     if not is_connected(g, ignore=cset):
         return False, "separating"
-    if w.kind == "triangle":
-        if len(c) != 3:
-            return False, "triangle witness of length != 3"
+    if len(c) == 3:
         return True, None
-    if w.kind != "two-neighbor":
-        return False, f"unknown witness kind {w.kind!r}"
     rest = set(range(g.n)) - cset
     if rest:
         sub, to_orig = induced(g, rest)
@@ -376,19 +366,17 @@ def test_check_witness_matches_the_two_traversal_version_on_the_atlas():
                     order = _cyclic_order(g, verts)
                     if order is None:
                         continue
-                    for kind in ("triangle", "two-neighbor"):
-                        w = OddCycleWitness(order, kind)
-                        got = check_witness(g, w)
-                        assert got == old_check_witness(g, w), (g.edges(), w)
-                        verdicts[got[1] or "ok"] += 1
+                    got = check_witness(g, order)
+                    assert got == old_check_witness(g, order), (g.edges(), order)
+                    verdicts[got[1] or "ok"] += 1
     # every rejection that reads G - V(C) occurs
-    assert {"ok", "separating", "triangle witness of length != 3"} <= set(verdicts), verdicts
+    assert {"ok", "separating"} <= set(verdicts), verdicts
     assert any(r.startswith("vertex ") for r in verdicts), verdicts
 
 
 def test_triangle_witness_flood_matches_the_walk_on_the_atlas():
     # a triangle is decided by a flood of G - V(C), which must agree with
-    # the low-link walk that the two-neighbor kind still makes
+    # the low-link walk that a longer witness still makes
     verdicts = Counter()
     for atlas_graph in nx.graph_atlas_g():
         g = Graph(atlas_graph.number_of_nodes(), list(atlas_graph.edges()))
@@ -396,7 +384,7 @@ def test_triangle_witness_flood_matches_the_walk_on_the_atlas():
             if not all(g.has_edge(a, b) for a, b in combinations(tri, 2)):
                 continue
             by_walk = (False, "separating") if _low_link(g, set(tri)) is None else (True, None)
-            got = check_witness(g, OddCycleWitness(tri, "triangle"))
+            got = check_witness(g, tri)
             assert got == by_walk, (g.edges(), tri)
             verdicts[got] += 1
     assert verdicts[(True, None)] > 0 and verdicts[(False, "separating")] > 0, verdicts
@@ -417,6 +405,46 @@ def test_branch_i_glued_k4s():
     assert branch == "I" and trace.branches[-1] == "two-cut-glue"
     assert fam.cls.kind == LENGTH
     assert sorted(fam.lengths()) == [4, 6]
+
+
+def k4_chain():
+    """Three K4s in a row, glued on the edges 23 and 45: two 2-separations."""
+    edges = set()
+    for block in ((0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7)):
+        edges |= set(combinations(block, 2))
+    return Graph(8, sorted(edges))
+
+
+def test_a_failed_glue_moves_on_to_the_next_separation(monkeypatch):
+    g = k4_chain()
+    seps = list(decompose.two_separations(g))
+    assert [sep.cut for sep in seps] == [(2, 3), (4, 5)]
+    l, phi = split_parity(2)
+    want = cycles._glue_sides(g, 2, l, phi, seps[1].a, seps[1].b, *seps[1].cut, ExtractionTrace())
+    glue = cycles.glue_two_sided_length
+    calls = []
+
+    def first_fails(p_fam, q_fam):
+        calls.append(p_fam)
+        if len(calls) == 1:
+            raise InvalidWitness("forced")
+        return glue(p_fam, q_fam)
+
+    monkeypatch.setattr(cycles, "glue_two_sided_length", first_fails)
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(g, 2, trace=trace)
+    assert branch == "I" and len(calls) == 2
+    assert fam.members == want.members
+    assert trace.branches[-1] == "two-cut-glue" and trace.branches.count("two-cut-glue") == 1
+
+    def always_fails(p_fam, q_fam):
+        calls.append(p_fam)
+        raise InvalidWitness(f"glue {len(calls)} forced")
+
+    monkeypatch.setattr(cycles, "glue_two_sided_length", always_fails)
+    calls.clear()
+    with pytest.raises(HypothesisNotMet, match=r"\(glue 2 forced\)"):
+        find_k_cycles(g, 2)
 
 
 def test_branch_i_resumes_the_classifying_scan(monkeypatch):
@@ -563,7 +591,8 @@ def test_all_residues_even_k_rejected():
 
 def test_a_branch_iii_request_builds_the_adjacency_masks_once(monkeypatch):
     # _classify builds them for the contraction certificate, which contracts
-    # a copy, and the oracle search reads the same masks
+    # a copy, and the oracle search reads the same masks; a k = 1 request
+    # is the oracle's one-member window, on branch I as on branch III
     built = []
 
     def counted(h):
@@ -572,8 +601,12 @@ def test_a_branch_iii_request_builds_the_adjacency_masks_once(monkeypatch):
 
     for module in (cycles, decompose, oraclekern):
         monkeypatch.setattr(module, "adj_masks", counted, raising=False)
+    for g, k, want in [(complete_bipartite(4, 5), 3, "III"),
+                       (cycle_graph(5), 1, "I"),
+                       (complete_bipartite(4, 5), 1, "III")]:
+        built.clear()
+        fam, branch = find_k_cycles(g, k)
+        assert branch == want and fam.k == k and built == [g], (g.edges(), k)
     g = complete_bipartite(4, 5)
-    fam, branch = find_k_cycles(g, 3)
-    assert branch == "III" and fam.k == 3 and built == [g]
     masks = adj_masks(g)
     assert decompose._contracts_to_k4(g, masks) and masks == adj_masks(g)

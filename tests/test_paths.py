@@ -7,7 +7,7 @@ import pytest
 
 from cyclemod import oraclekern, paths
 from cyclemod.cycles import find_k_cycles, oracle_cycles
-from cyclemod.errors import HypothesisNotMet, InvalidArgument
+from cyclemod.errors import HypothesisNotMet, InvalidArgument, InvalidWitness
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_graph, induced
 from cyclemod.decompose import is_rooted_2_connected
@@ -264,3 +264,56 @@ def test_the_flex_gaps_of_one_cubic_graph_are_pinned():
         if trace.constructive_gap:
             gaps.add((x, y))
     assert gaps == CUBIC_12_GAPS
+
+
+# networkx.random_regular_graph(5, 10, seed=1): with roots 4 and 9 its
+# best core leaves a component C of y whose end block (2, 5, 6, 7) hangs
+# off the rest of C at b = 7, so the (T, b)-paths of that block reach y
+# through a bridge
+REG5_10 = [(0, 1), (0, 3), (0, 5), (0, 8), (0, 9), (1, 2), (1, 4), (1, 6), (1, 9),
+           (2, 3), (2, 4), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (4, 8), (4, 9),
+           (5, 6), (5, 7), (5, 8), (6, 7), (7, 8), (7, 9), (8, 9)]
+
+
+def test_an_end_block_of_c_reaches_y_through_a_bridge(monkeypatch):
+    g = Graph(10, REG5_10)
+    calls = []
+    block_to_t = paths._block_to_t
+
+    def recorded(g, x, y, k, flex, trace, core, blk, b):
+        fam = block_to_t(g, x, y, k, flex, trace, core, blk, b)
+        calls.append((sorted(blk), b, y, fam is not None))
+        return fam
+
+    monkeypatch.setattr(paths, "_block_to_t", recorded)
+    trace = ExtractionTrace()
+    fam = find_paths_flex(g, 4, 9, 3, trace=trace)
+    validate_path_family(g, fam, 4, 9, allowed=(LENGTH, SEMI))
+    assert fam.k == 3 and not trace.constructive_gap
+    assert trace.branches[-1] == "block-to-t"
+    assert calls == [([2, 5, 6, 7], 7, 9, True)]
+
+
+def test_a_construction_that_raises_is_declined_with_no_tag(monkeypatch):
+    # _attempt turns a construction's error into a decline: None, and no
+    # tag for it; the request then falls back to the oracle
+    def broken(*args):
+        raise InvalidWitness("forced")
+
+    attempts = []
+    attempt = paths._attempt
+
+    def recorded(trace, tag, fn):
+        fam = attempt(trace, tag, fn)
+        attempts.append((tag, fam))
+        return fam
+
+    monkeypatch.setattr(paths, "extend_from_core", broken)
+    monkeypatch.setattr(paths, "_attempt", recorded)
+    g = Graph(10, REG5_10)
+    trace = ExtractionTrace()
+    fam = find_paths_flex(g, 4, 9, 3, trace=trace)
+    validate_path_family(g, fam, 4, 9, allowed=(LENGTH, SEMI))
+    assert ("block-to-t", None) in attempts
+    assert "block-to-t" not in trace.branches
+    assert trace.branches[-1] == "oracle-fallback" and trace.constructive_gap

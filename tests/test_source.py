@@ -131,8 +131,6 @@ def test_only_shallow_functions_recurse():
     # Python recursion stops at about 1000 frames, so a search that is as
     # deep as the graph is large walks an explicit stack instead
     allowed = {
-        # a frame per vertex of the odd cycle it closes; the budget stops it first
-        "cycles.find_nonsep_induced_odd_cycle.cycles_at.extend",
         # once, with the roots swapped to put the smaller degree at x
         "paths._engine",
     }

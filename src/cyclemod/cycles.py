@@ -53,8 +53,8 @@ from .families import (
 )
 from .oraclekern import _first_cycle, default_budget
 from .paths import (
+    GAP_TAG,
     ExtractionTrace,
-    _BRANCH_ERRORS,
     _attempt,
     _engine,
     _path_within,
@@ -251,39 +251,29 @@ def _branch_i(g, k, separations, trace):
     of a graph that find_k_cycles has checked and sent here; separations
     are its 2-separations in two_separations order."""
     l, phi = split_parity(k)
-    last_error = None
     for sep in separations:
-        try:
-            fam = _glue_sides(g, k, l, phi, sep.a, sep.b, *sep.cut, trace)
-        except _BRANCH_ERRORS as exc:
-            last_error = exc
-            continue
-        trace.record("two-cut-glue")
-        return fam
-    raise HypothesisNotMet(f"no 2-separation admits the glue ({last_error})")
-
-
-def _side(g, verts, x, y, k_side, flex, trace):
-    # Each side of a 2-separation of a 2-connected graph with delta >= k + 1
-    # meets the hypothesis, so a refusal is treated like any failed glue.
-    fam = _recurse_on(g, verts, x, y, k_side, flex, trace)
-    if fam is None:
-        raise HypothesisNotMet("a side of the 2-separation misses the hypothesis")
-    return fam
+        fam = _attempt(trace, "two-cut-glue",
+                       lambda: _glue_sides(g, k, l, phi, sep.a, sep.b, *sep.cut, trace))
+        if fam is not None:
+            return fam
+    raise HypothesisNotMet(f"no 2-separation admits the glue ({trace.declined})")
 
 
 def _glue_sides(g, k, l, phi, a_verts, b_verts, x, y, trace):
+    # Each side of a 2-separation of a 2-connected graph with delta >= k + 1
+    # meets the hypothesis, so a side that misses it is treated like any
+    # failed glue.
     if phi == 0:
-        p_fam = _side(g, a_verts, x, y, l, False, trace)
-        q_fam = _side(g, b_verts, x, y, l, False, trace)
+        p_fam = _recurse_on(g, a_verts, x, y, l, False, trace)
+        q_fam = _recurse_on(g, b_verts, x, y, l, False, trace)
         return glue_two_sided_length(p_fam, q_fam)
-    p_fam = _side(g, a_verts, x, y, l + 1, True, trace)
+    p_fam = _recurse_on(g, a_verts, x, y, l + 1, True, trace)
     if p_fam.cls.kind == LENGTH:
-        q_fam = _side(g, b_verts, x, y, l, False, trace)
+        q_fam = _recurse_on(g, b_verts, x, y, l, False, trace)
         return glue_two_sided_length(p_fam, q_fam)
-    q_fam = _side(g, b_verts, x, y, l + 1, True, trace)
+    q_fam = _recurse_on(g, b_verts, x, y, l + 1, True, trace)
     if q_fam.cls.kind == LENGTH:
-        p_short = _side(g, a_verts, x, y, l, False, trace)
+        p_short = _recurse_on(g, a_verts, x, y, l, False, trace)
         return glue_two_sided_length(q_fam, p_short)
     return glue_two_sided_semilength(p_fam, q_fam)
 
@@ -309,9 +299,7 @@ def _branch_ii(g, k, trace, adj):
             fam = _long_witness(g, k, w, trace)
     if fam is not None:
         return fam
-    fam = _from_oracle(g, k, False, adj, trace, "oracle-fallback")
-    trace.constructive_gap = True
-    return fam
+    return _from_oracle(g, k, False, adj, trace, GAP_TAG)
 
 
 def _from_oracle(g, k, bipartite, adj, trace, tag):
@@ -328,14 +316,11 @@ def _two_cycles_from_edge(g, trace):
     # g is 2-connected with delta >= 3, so each edge xy meets the hypothesis
     # of a flexible 2-path request: G + xy = G, and every degree is >= 2*2 - 1
     for x, y in g.edges():
-        try:
-            fam = _engine(g, x, y, 2, True, trace)
-        except _BRANCH_ERRORS:
-            continue
-        cycles = [close_cycle(m, (x, y)) for m in fam.members]
-        kind = LENGTH if fam.cls.kind == LENGTH else CONSECUTIVE
-        trace.record("edge-pair")
-        return make_cycle_family(cycles, cls=FamilyClass(kind))
+        fam = _attempt(trace, "edge-pair", lambda: _engine(g, x, y, 2, True, trace))
+        if fam is not None:
+            cycles = [close_cycle(m, (x, y)) for m in fam.members]
+            kind = LENGTH if fam.cls.kind == LENGTH else CONSECUTIVE
+            return make_cycle_family(cycles, cls=FamilyClass(kind))
     return None
 
 
@@ -352,10 +337,8 @@ def _triangle_fans(g, k, c, trace):
     for rot in _rotations(c):
         u, up, um = rot
         attach = (g.adj[up] | g.adj[um]) - {up, um}
-        att = _block_paths(g, set(range(g.n)) - {up, um}, (attach, (up, um)), u, l, phi == 0, trace)
-        if att is None:
-            continue
-        fam = _attempt(trace, "triangle-fan", lambda: odd_cycle_fan(rot, att, phi))
+        fam = _attempt(trace, "triangle-fan", lambda: odd_cycle_fan(rot, _recurse_on(
+            g, set(range(g.n)) - {up, um}, u, (attach, (up, um)), l, phi == 0, trace), phi))
         if fam is not None:
             return make_cycle_family(fam.members[:k], cls=fam.cls)
     return None
@@ -397,49 +380,35 @@ def _fan_from_block(g, k, l, phi, c, blk, b, rest, trace):
         y_opts = sorted(outside & g.adj[apex])
         if not y_opts:
             continue
+
+        def to_apex(x, head, kk, flex, fan):
+            """The first fan that closes over head + P + bridge + (y, apex),
+            P the kk (x, b)-paths of the block, for each y of y_opts in
+            order that a shortest b-y path off the block reaches."""
+            block = _recurse_on(g, blk, x, b, kk, flex, trace)
+            for y in y_opts:
+                bridge = _path_within(g, b, y, (rest - blk) | {b, y})
+                if bridge is None:
+                    continue
+                fam = _attempt(trace, None, lambda: fan(make_path_family(
+                    [join_paths(head + p, bridge, (y, apex)) for p in block.members],
+                    cls=block.cls)))
+                if fam is not None:
+                    return fam
+            return None
+
+        # the x-fan first; each fan declines as a whole, block paths included
         for x, h in hits.items():
-            x_fans = u_fans = ()
+            fam = None
             if up in h and um in h:  # k >= 3 here, so l - 1 >= 1
-                x_fans = _to_apex(g, blk, b, x, (), apex, y_opts, rest, l - 1, False, trace)
-            if quiet and u in h:
-                u_fans = _to_apex(g, blk, b, x, (u,), apex, y_opts, rest, l, phi == 0, trace)
-            # the first fan that closes, x-fans first, each y in order
-            tries = chain(
-                (_attempt(trace, "antipode-x-fan", lambda: odd_cycle_x_fan(rot, x, att, l))
-                 for att in x_fans),
-                (_attempt(trace, "antipode-fan", lambda: odd_cycle_fan(rot, att, phi))
-                 for att in u_fans),
-            )
-            fam = next(filter(None, tries), None)
+                fam = _attempt(trace, "antipode-x-fan", lambda: to_apex(
+                    x, (), l - 1, False, lambda att: odd_cycle_x_fan(rot, x, att, l)))
+            if fam is None and quiet and u in h:
+                fam = _attempt(trace, "antipode-fan", lambda: to_apex(
+                    x, (u,), l, phi == 0, lambda att: odd_cycle_fan(rot, att, phi)))
             if fam is not None:
                 return make_cycle_family(fam.members[:k], cls=fam.cls)
     return None
-
-
-def _block_paths(g, blk, b, x, kk, flex, trace):
-    try:
-        return _recurse_on(g, blk, x, b, kk, flex, trace)
-    except _BRANCH_ERRORS:
-        return None
-
-
-def _to_apex(g, blk, b, x, head, apex, y_opts, rest, kk, flex, trace):
-    """The families head + P + bridge + (y, apex), one for each y of y_opts
-    that a shortest b-y path off the block reaches, over the kk (x, b)-paths
-    P of the block; none when the block misses the hypothesis."""
-    fam = _block_paths(g, blk, b, x, kk, flex, trace)
-    if fam is None:
-        return
-    for y in y_opts:
-        bridge = _path_within(g, b, y, (rest - blk) | {b, y})
-        if bridge is None:
-            continue
-        try:
-            att = make_path_family(
-                [join_paths(head + p, bridge, (y, apex)) for p in fam.members], cls=fam.cls)
-        except _BRANCH_ERRORS:
-            continue
-        yield att
 
 
 # -- the dispatcher -----------------------------------------------------------

@@ -24,10 +24,11 @@ G - V(H), and a cascade of constructions follows:
   across C itself, each extended through H by ladders.
 
 The cascade holds only the sites that some public request reaches (the
-reach table in tests/test_reach.py).  Each site validates its own output;
-if the whole cascade fails, an exhaustive oracle produces the family and
-the trace is flagged with a constructive gap, so gaps are measurable
-rather than silent.
+reach table in tests/test_reach.py).  Each site validates its own output,
+and each is tried through _attempt: a construction that declines leaves no
+tag in the trace, its sub-requests' tags included.  If the whole cascade
+fails, an exhaustive oracle produces the family and records the GAP_TAG
+tag, so a constructive gap is measurable rather than silent.
 """
 
 from __future__ import annotations
@@ -71,13 +72,23 @@ from .core import (
 from .oraclekern import find_path_with_length, path_length_set
 
 
+# the tag of an oracle fallback: a level that no construction solved
+GAP_TAG = "oracle-fallback"
+
+
 @dataclass
 class ExtractionTrace:
-    """Which constructive branches fired, and whether the exhaustive-oracle
-    fallback was ever needed (a "constructive gap")."""
+    """The tags of the constructions that built the result, in the order
+    they finished, and the error that the last declined construction
+    raised (see _attempt)."""
 
     branches: list = field(default_factory=list)
-    constructive_gap: bool = False
+    declined: Exception = None
+
+    @property
+    def constructive_gap(self):
+        """Was the exhaustive-oracle fallback needed for the result?"""
+        return GAP_TAG in self.branches
 
     def record(self, tag):
         self.branches.append(tag)
@@ -153,8 +164,9 @@ def _fits(aux, ax, ay, k, flex):
 
 def _recurse_on(g, verts, a, b, k, flex, trace):
     """k (a, b)-paths found by recursing on G[verts], lifted back to the
-    ids of g; None when the subproblem misses the hypothesis.  The one
-    place that builds a relabelled subproblem and lifts its paths back.
+    ids of g; raises HypothesisNotMet when the subproblem misses the
+    hypothesis.  The one place that builds a relabelled subproblem and
+    lifts its paths back.
 
     A root is a vertex of `verts` or a super vertex, given as a pair
     (attach, options): a new vertex adjacent to each vertex of `attach`.
@@ -177,7 +189,7 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
     if len(adj) > sub.n:
         sub = Graph._of_adj(tuple(adj))
     if not _fits(sub, roots[0], roots[1], k, flex):
-        return None
+        raise HypothesisNotMet("the subproblem misses the hypothesis")
     fam = _engine(sub, roots[0], roots[1], k, flex, trace)
 
     def lift(v, root, near):
@@ -226,8 +238,7 @@ def _engine(g, x, y, k, flex, trace):
             raise HypothesisNotMet(
                 f"no family of {k} (x, y)-paths exists at all in this graph"
             )
-        trace.constructive_gap = True
-        trace.record("oracle-fallback")
+        trace.record(GAP_TAG)
     allowed = (LENGTH, SEMI) if flex else (LENGTH,)
     validate_path_family(g, fam, x, y, allowed=allowed)
     if fam.k != k:
@@ -259,11 +270,19 @@ def _dispatch(g, x, y, k, flex, trace):
 
 
 def _attempt(trace, tag, fn):
+    """fn's family, with `tag` recorded after the tags of fn's own
+    sub-requests (nothing for a tag of None); or None when fn declines by
+    returning None or raising one of _BRANCH_ERRORS.  A declined fn leaves
+    trace.branches as it found it, and the error it raised is kept as
+    trace.declined.  The one place that catches a declined construction."""
+    mark = len(trace.branches)
     try:
         fam = fn()
-    except _BRANCH_ERRORS:
-        return None
-    if fam is not None:
+    except _BRANCH_ERRORS as exc:
+        fam, trace.declined = None, exc
+    if fam is None:
+        del trace.branches[mark:]
+    elif tag is not None:
         trace.record(tag)
     return fam
 
@@ -277,15 +296,23 @@ def _base_single(g, x, y):
 
 
 def _split_at_end_block(g, x, y, k, flex, trace):
-    """G connected but not 2-connected: peel off the end block holding x."""
+    """G connected but not 2-connected: peel off the end block holding x.
+
+    Both descents meet the hypothesis, so their _recurse_on never raises
+    and this level needs no _attempt.  G + xy is 2-connected, so
+    x and y are no cut vertices of G, and each end block of G holds one of
+    them: the blocks form a path from the end block of x, whose one cut
+    vertex is b, to the end block of y.  A block of three or more vertices
+    is 2-connected, and its vertices other than x and b have all their
+    neighbors in it.  The single edge xb leaves G - x a path of blocks from
+    b to y, with every degree but b's kept; deg(b) >= 2k - 1 >= 3 (k >= 2
+    here) gives G - x three or more vertices."""
     for blk, b in leaf_blocks(g):
         if x not in blk:
             continue
         if len(blk) >= 3:
             trace.record("end-block-of-x")
             fam = _recurse_on(g, blk, x, b, k, flex, trace)
-            if fam is None:
-                return None
             bridge = _path_within(g, b, y, set(range(g.n)) - (set(blk) - {b}))
             if bridge is None:
                 raise Disconnected("no path from the cut vertex to y")
@@ -294,8 +321,6 @@ def _split_at_end_block(g, x, y, k, flex, trace):
         # the end block is the single edge xb: recurse on G - x
         trace.record("strip-degree-one-x")
         fam = _recurse_on(g, set(range(g.n)) - {x}, b, y, k, flex, trace)
-        if fam is None:
-            return None
         return make_path_family([join_paths((x, b), m) for m in fam.members], cls=fam.cls)
     return None
 
@@ -355,14 +380,18 @@ def _contract_recurse(g, x, y, k, flex, trace, verts):
     to the next vertex of the path; x then goes in front of each path."""
     attach = [v for v in verts if g.adj[v] & g.adj[x]]
     fam = _recurse_on(g, verts, (attach, sorted(g.adj[x])), y, k, flex, trace)
-    if fam is None:
-        return None
     return make_path_family([(x,) + m for m in fam.members], cls=fam.cls)
 
 
 def _twin_roots(g, x, y, k, flex, trace):
     """N(y) = N(x): route through a component of G - (N(x) u {x, y}) whose
-    neighborhood splits into two super-attachment classes."""
+    neighborhood splits into two super-attachment classes.
+
+    Each split is its own untagged attempt, so a split that declines
+    leaves no tag and the next split is tried: one whose subproblem misses
+    the hypothesis, and one whose recursion raises after meeting it (the
+    engine finds no family, or one that fails validation), which no known
+    request reaches."""
     nx = set(g.adj[x])
     if set(g.adj[y]) != nx:
         raise InvariantViolated("degree order should force equal neighborhoods")
@@ -378,7 +407,8 @@ def _twin_roots(g, x, y, k, flex, trace):
             for rest in combinations(boundary[1:], r):
                 s_side = {anchor} | set(rest)
                 t_side = set(boundary) - s_side
-                fam = _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side)
+                fam = _attempt(trace, None, lambda: _twin_split(
+                    g, x, y, k, flex, trace, comp, s_side, t_side))
                 if fam is not None:
                     return fam
     return None
@@ -392,8 +422,6 @@ def _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side):
     fam = _recurse_on(
         g, comp, (s_attach, sorted(s_side)), (t_attach, sorted(t_side)), k, flex, trace
     )
-    if fam is None:
-        return None
     members = [(x,) + m + (y,) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
 
@@ -483,8 +511,6 @@ def _case_single_y(g, x, y, k, flex, trace, core):
 def _single_y_two_t(g, x, y, k, flex, trace, core):
     t1, t2 = sorted(core.t)
     fam = _recurse_on(g, set(range(g.n)) - {x, y}, t1, t2, k, flex, trace)
-    if fam is None:
-        return None
     members = [(x,) + m + (y,) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
 
@@ -497,8 +523,6 @@ def _single_y_delete_pair(g, x, y, k, flex, trace, core, s, t):
 
     def two_conn():
         fam = _recurse_on(g, set(range(g.n)) - {s, t}, x, y, k - 1, flex, trace)
-        if fam is None:
-            return None
         longest = fam.members[-1]
         extra = longest[:-1] + (s, t, y)
         return make_path_family(list(fam.members) + [extra], cls=fam.cls)
@@ -542,8 +566,6 @@ def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
     if not attach:
         return None
     fam = _recurse_on(g, blk, (attach, core.t), b, k - l, flex, trace)
-    if fam is None:
-        return None
     if b == y:
         tail = ()
     else:

@@ -7,7 +7,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from cyclemod import certify, cycles, decompose, oraclekern
+from cyclemod import certify, cycles, decompose, oraclekern, paths
 from cyclemod.errors import BudgetExceeded, HypothesisNotMet, InvalidWitness
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import (
@@ -43,7 +43,7 @@ from cyclemod.oraclekern import (
     find_path_with_length,
 )
 from cyclemod.decompose import _low_link, cut_vertices, two_separations
-from cyclemod.paths import ExtractionTrace
+from cyclemod.paths import GAP_TAG, ExtractionTrace
 from cyclemod.smallgraphs import connected_graphs, two_connected_graphs
 
 
@@ -316,10 +316,13 @@ def test_check_witness_rejections():
     g = complete_graph(5)
     ok, reason = check_witness(g, (0, 1, 2, 3))
     assert not ok and "odd" in reason
-    # separating cycle: two triangles sharing one path
-    h = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 0)])
-    ok, reason = check_witness(h, (0, 3, 4, 5))
-    assert not ok
+    # odd induced cycles with a pendant vertex at two of their vertices,
+    # so G - V(C) is two lone vertices: the flood of G - V(C) rejects the
+    # triangle, and the low-link walk the 5-cycle
+    tri = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
+    assert check_witness(tri, (0, 1, 2)) == (False, "separating")
+    pent = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (2, 6)])
+    assert check_witness(pent, (0, 1, 2, 3, 4)) == (False, "separating")
 
 
 def old_check_witness(g, c):
@@ -445,6 +448,88 @@ def test_a_failed_glue_moves_on_to_the_next_separation(monkeypatch):
     calls.clear()
     with pytest.raises(HypothesisNotMet, match=r"\(glue 2 forced\)"):
         find_k_cycles(g, 2)
+
+
+def _first_glue_fails(monkeypatch):
+    glue = cycles.glue_two_sided_length
+    calls = []
+
+    def first_fails(p_fam, q_fam):
+        calls.append(p_fam)
+        if len(calls) == 1:
+            raise InvalidWitness("forced")
+        return glue(p_fam, q_fam)
+
+    monkeypatch.setattr(cycles, "glue_two_sided_length", first_fails)
+    return calls
+
+
+def test_a_failed_glue_leaves_no_tag_of_its_sides(monkeypatch):
+    # the trace holds the tags of the second separation's sides alone
+    calls = _first_glue_fails(monkeypatch)
+    trace = ExtractionTrace()
+    find_k_cycles(k4_chain(), 2, trace=trace)
+    assert len(calls) == 2
+    assert trace.branches == ["branch-I", "drop-xy-edge", "core-ladders", "single-path",
+                              "two-cut-glue"]
+
+
+def test_a_failed_glue_leaves_no_gap_of_its_sides(monkeypatch):
+    # a side of the first separation falls back to the oracle, and that
+    # glue fails: the family the second separation builds has no gap
+    dispatch = paths._dispatch
+    dispatched = []
+
+    def first_declines(*args):
+        dispatched.append(args)
+        return None if len(dispatched) == 1 else dispatch(*args)
+
+    fallbacks = []
+    oracle = paths.oracle_paths
+    monkeypatch.setattr(paths, "oracle_paths",
+                        lambda *a, **kw: fallbacks.append(a) or oracle(*a, **kw))
+    monkeypatch.setattr(paths, "_dispatch", first_declines)
+    calls = _first_glue_fails(monkeypatch)
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(k4_chain(), 2, trace=trace)
+    assert branch == "I" and len(calls) == 2 and len(fallbacks) == 1
+    assert not trace.constructive_gap and GAP_TAG not in trace.branches
+    assert certify.make_certificate(k4_chain(), "cycles", 2, fam, branch=branch,
+                                    trace=trace)["trace"]["constructive_gap"] is False
+
+
+def test_a_declined_fan_leaves_no_tag_of_its_block_paths(monkeypatch):
+    # every x-fan of the first (rotation, x) fails, after its block
+    # recursion recorded tags; the trace holds only the closing fan's
+    recursions = []
+    recurse = cycles._recurse_on
+
+    def recorded(g, verts, a, b, k, flex, trace):
+        mark = len(trace.branches)
+        fam = recurse(g, verts, a, b, k, flex, trace)
+        recursions.append(trace.branches[mark:])
+        return fam
+
+    fan = cycles.odd_cycle_x_fan
+    first = []
+
+    def first_pair_fails(rot, x, att, l):
+        if not first:
+            first.append((rot, x))
+        if (rot, x) == first[0]:
+            raise InvalidWitness("forced")
+        return fan(rot, x, att, l)
+
+    monkeypatch.setattr(cycles, "_recurse_on", recorded)
+    monkeypatch.setattr(cycles, "odd_cycle_x_fan", first_pair_fails)
+    g = circulant(13, (1, 5))
+    trace = ExtractionTrace()
+    fam, branch = find_k_cycles(g, 3, trace=trace)
+    validate_cycle_family(g, fam)
+    assert branch == "II" and not trace.constructive_gap
+    assert len(recursions) >= 2 and recursions[0]
+    assert trace.branches == ["branch-II"] + recursions[-1] + [trace.branches[-1]]
+    assert trace.branches[-1] in ("antipode-x-fan", "antipode-fan")
 
 
 def test_branch_i_resumes_the_classifying_scan(monkeypatch):

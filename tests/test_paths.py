@@ -178,7 +178,8 @@ def test_recurse_on_lifts_a_super_root_and_refuses_k_below_one():
     validate_path_family(g, fam, 0, 5)
     assert fam.members[0][1] in (2, 3)
     # k - l <= 0 in _block_to_t must decline, not recurse
-    assert _recurse_on(g, {2, 3, 4, 5}, sup, 5, 0, False, ExtractionTrace()) is None
+    with pytest.raises(HypothesisNotMet):
+        _recurse_on(g, {2, 3, 4, 5}, sup, 5, 0, False, ExtractionTrace())
 
 
 def test_recurse_on_lifts_a_super_root_to_its_first_fitting_option():
@@ -213,7 +214,8 @@ def test_the_super_root_graph_equals_the_graph_rebuilt_from_its_edge_list(monkey
     super_roots = set()
     for g, verts, a, b in _super_root_requests():
         built.clear()
-        assert paths._recurse_on(g, verts, a, b, 2, False, ExtractionTrace()) is None
+        with pytest.raises(HypothesisNotMet):
+            paths._recurse_on(g, verts, a, b, 2, False, ExtractionTrace())
         sub, to_orig = induced(g, verts)
         inv = {w: i for i, w in enumerate(to_orig)}
         n, extra = sub.n, []

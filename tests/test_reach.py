@@ -98,10 +98,10 @@ def test_single_y_2conn_certificate_is_pinned():
 
 
 def _emitted_tags(path):
-    """Tags the module can record: the literal tag of each _attempt call,
-    record call and _from_oracle call, a module constant passed as one,
-    the "branch-{...}" record expanded over the three branches, and the
-    ("tag", function) pairs of a site table."""
+    """Tags the module can record: the literal tag of each _attempt call
+    (a tag of None records nothing), record call and _from_oracle call, a
+    module constant passed as one, the "branch-{...}" record expanded over
+    the three branches, and the ("tag", function) pairs of a site table."""
     tree = ast.parse(path.read_text(), filename=str(path))
     consts = {node.targets[0].id: node.value.value for node in tree.body
               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
@@ -123,7 +123,9 @@ def _emitted_tags(path):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name == "_attempt":
-                found |= tags_of(node.args[1])
+                tag = node.args[1]
+                if not (isinstance(tag, ast.Constant) and tag.value is None):
+                    found |= tags_of(tag)
             elif name == "record":
                 found |= tags_of(node.args[0])
             elif name == "_from_oracle":

@@ -113,6 +113,27 @@ def test_one_subproblem_builder():
     assert "_recurse_on_sub" not in defined
 
 
+def test_only_attempt_catches_a_declined_construction():
+    # paths._attempt alone turns a construction's error into a decline, so
+    # it alone puts the trace back; the gap flag is read off the tags, and
+    # no code stores it
+    catchers, gap_stores, functions = set(), [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef):
+                    functions.add(node.name)
+                if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                        and "_BRANCH_ERRORS" in ast.unparse(node.type)):
+                    catchers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                target = getattr(node, "attr", None) or getattr(node, "id", None)
+                if target == "constructive_gap" and isinstance(node.ctx, ast.Store):
+                    gap_stores.append(f"{path.name}:{node.lineno}")
+    assert catchers == {"paths._attempt"}
+    assert not gap_stores, f"constructive_gap assigned in src: {gap_stores}"
+    assert not {"_side", "_block_paths"} & functions
+
+
 def _self_calls(node, prefix):
     """Qualified names of the functions under `node`, nested ones included,
     whose body calls them by their own name."""

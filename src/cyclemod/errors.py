@@ -18,10 +18,6 @@ class Disconnected(CyclemodError):
     """Operation needs a connected graph."""
 
 
-class NotRooted2Connected(CyclemodError):
-    """Operation needs (G, x, y) with G + xy 2-connected."""
-
-
 class HypothesisNotMet(CyclemodError):
     """Input fails the degree/connectivity hypothesis of the requested result."""
 

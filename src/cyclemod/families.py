@@ -272,10 +272,7 @@ def glue_two_sided_length(p_fam, q_fam):
     if p_fam.cls.kind != LENGTH or q_fam.cls.kind != LENGTH:
         raise InvalidArgument("both sides must satisfy the length condition")
     rows = length_rows(p_fam.members, q_fam.members)
-    fam = make_cycle_family([close_cycle(a, b) for a, b in rows])
-    if fam.cls.kind != LENGTH:
-        raise InvalidWitness("glued cycles do not satisfy the length condition")
-    return fam
+    return make_cycle_family([close_cycle(a, b) for a, b in rows], cls=FamilyClass(LENGTH))
 
 
 def glue_two_sided_semilength(p_fam, q_fam):
@@ -290,9 +287,9 @@ def glue_two_sided_semilength(p_fam, q_fam):
     if len(p_fam.members) != len(q_fam.members):
         raise InvalidArgument("sides must have equally many members (l + 1)")
     rows = semi_rows(p_fam.members, ps, q_fam.members, qs)
-    fam = make_cycle_family([close_cycle(a, b) for a, b in rows])
-    if len(rows) != 2 * (len(p_fam.members) - 1) or fam.cls.kind != LENGTH:
-        raise InvalidWitness("semi-length glue did not produce 2l length-condition cycles")
+    fam = make_cycle_family([close_cycle(a, b) for a, b in rows], cls=FamilyClass(LENGTH))
+    if len(rows) != 2 * (len(p_fam.members) - 1):
+        raise InvalidWitness("semi-length glue did not produce 2l cycles")
     return fam
 
 
@@ -349,10 +346,7 @@ def odd_cycle_fan(rot, paths_fam, phi):
         else:
             rows.append(short)
             rows.append(long_)
-    fam = make_cycle_family(rows)
-    if fam.cls.kind != CONSECUTIVE:
-        raise InvalidWitness("fan rows are not consecutive lengths")
-    return fam
+    return make_cycle_family(rows, cls=FamilyClass(CONSECUTIVE))
 
 
 def odd_cycle_x_fan(rot, x, paths_fam, l):
@@ -397,9 +391,9 @@ def odd_cycle_x_fan(rot, x, paths_fam, l):
     last = paths_fam.members[-1]
     rows.append(tuple(last) + a_um_long[1:])
     rows.append(tuple(last) + a_up_long[1:])
-    fam = make_cycle_family(rows)
-    if len(rows) != 2 * l or fam.cls.kind != CONSECUTIVE:
-        raise InvalidWitness("x-fan rows are not 2l consecutive lengths")
+    fam = make_cycle_family(rows, cls=FamilyClass(CONSECUTIVE))
+    if len(rows) != 2 * l:
+        raise InvalidWitness("x-fan rows are not 2l cycles")
     return fam
 
 

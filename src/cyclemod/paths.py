@@ -42,7 +42,6 @@ from .errors import (
     InvalidArgument,
     InvalidWitness,
     InvariantViolated,
-    NotRooted2Connected,
 )
 from .graph import Graph, components, induced, contract_set, shortest_path
 from .decompose import (
@@ -143,19 +142,20 @@ def _check_request(g, x, y, k):
 
 def _check_hypothesis(g, x, y, k, flex):
     _check_request(g, x, y, k)
-    if not is_rooted_2_connected(g, x, y):
-        raise NotRooted2Connected("adding the edge xy must leave a 2-connected graph")
-    if g.rooted_min_degree(x, y) < _budget(k, flex):
+    if not _fits(g, x, y, k, flex):
         raise HypothesisNotMet(
-            f"need minimum degree {_budget(k, flex)} outside the roots, "
-            f"got {g.rooted_min_degree(x, y)}"
+            f"need G + xy 2-connected and minimum degree {_budget(k, flex)} "
+            f"outside the roots; the minimum degree is {g.rooted_min_degree(x, y)}"
         )
 
 
 def _fits(aux, ax, ay, k, flex):
-    """Preconditions of a recursive call, checked before descending; the
-    only hypothesis check a recursive call gets."""
-    if k < 1 or aux.n < 3 or ax == ay:
+    """Does (aux, ax, ay) meet the hypothesis for k paths: k >= 1, two
+    distinct roots, every other vertex of degree >= 2k (2k - 1 with flex),
+    and aux + ax ay 2-connected (which needs three or more vertices)?  The
+    one copy of the hypothesis: the entry points ask it of their own G, and
+    _recurse_on of each subproblem before it descends."""
+    if k < 1 or ax == ay:
         return False
     if aux.rooted_min_degree(ax, ay) < _budget(k, flex):
         return False
@@ -171,7 +171,9 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
     A root is a vertex of `verts` or a super vertex, given as a pair
     (attach, options): a new vertex adjacent to each vertex of `attach`.
     The lift replaces a super root by the first vertex of the sequence
-    `options`, in its order, adjacent to its neighbor on the path.
+    `options`, in its order, adjacent to its neighbor on the path.  A super
+    root with an empty `attach` has degree 1 in G + ab, so its subproblem
+    misses the hypothesis like any other.
     """
     sub, to_orig = induced(g, verts)
     inv = {v: i for i, v in enumerate(to_orig)}
@@ -216,7 +218,6 @@ def _path_within(g, a, b, allowed):
 
 _BRANCH_ERRORS = (
     HypothesisNotMet,
-    NotRooted2Connected,
     InvalidWitness,
     InvalidArgument,
     Disconnected,
@@ -249,12 +250,13 @@ def _engine(g, x, y, k, flex, trace):
 def _dispatch(g, x, y, k, flex, trace):
     """One level of the recursion on (g, x, y), which the caller has made
     rooted 2-connected: G + xy is 2-connected.  Every caller of _engine
-    guarantees it: the public entry points check it (_check_hypothesis), a
-    descent checks it first (_fits), the degree swap and the drop of xy keep
-    G + xy, and cycles._two_cycles_from_edge passes an edge xy of a
-    2-connected G.  So when xy is an edge, G = G + xy is 2-connected, and
-    the edge test comes before the 2-connectivity walk that would only
-    confirm it; the branch taken is the same either way."""
+    guarantees it: the public entry points (_check_hypothesis) and each
+    descent (_recurse_on) check it with the one copy of the hypothesis,
+    _fits; the degree swap and the drop of xy keep G + xy, and
+    cycles._two_cycles_from_edge passes an edge xy of a 2-connected G.  So
+    when xy is an edge, G = G + xy is 2-connected, and the edge test comes
+    before the 2-connectivity walk that would only confirm it; the branch
+    taken is the same either way."""
     if k == 1:
         trace.record("single-path")
         return _base_single(g, x, y)
@@ -417,8 +419,6 @@ def _twin_roots(g, x, y, k, flex, trace):
 def _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side):
     s_attach = [v for v in comp if g.adj[v] & s_side]
     t_attach = [v for v in comp if g.adj[v] & t_side]
-    if not s_attach or not t_attach:
-        return None
     fam = _recurse_on(
         g, comp, (s_attach, sorted(s_side)), (t_attach, sorted(t_side)), k, flex, trace
     )
@@ -430,38 +430,44 @@ def _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side):
 
 
 def _case_core(g, x, y, k, flex, trace, core):
-    l = core.l
-    c_set = set(core.component_c)
-    s_minus_x = [v for v in core.s if v != x]
-    tc = any(g.adj[t] & c_set for t in core.t)
-    sc = any(g.adj[v] & c_set for v in s_minus_x)
-    tt = any(g.has_edge(u, v) for u in core.t for v in core.t if u < v)
+    """G - y has a 4-cycle through x, and `core` is the best l-core of
+    (G, x, y).  Each construction checks its own case and declines outside
+    it; they are tried in order:
 
-    if l >= k or (l == k - 1 and tc):
-        fam = _attempt(trace, "core-ladders", lambda: core_paths_big_l(g, core, k))
-        if fam is not None:
-            return fam
-    if flex and l == k - 1 and sc and tt:
+    * ladders through H and one exit to y (l >= k, or l = k - 1 with a T-C
+      edge: core_paths_big_l);
+    * with flex, even ladders plus one path over a T-T edge (l = k - 1, an
+      (S - x)-C edge and an edge inside T: core_paths_semilength);
+    * with flex, odd ladders to y plus one path over a T-T edge (l = k - 2,
+      T meets C only at y, and S - x reaches C: _semi_in_h_plus_y);
+
+    then C = {y} (_case_single_y) or |C| >= 2 (_case_big_c)."""
+    fam = _attempt(trace, "core-ladders", lambda: core_paths_big_l(g, core, k))
+    if fam is None and flex:
         fam = _attempt(trace, "core-ladders-semi", lambda: core_paths_semilength(g, core, k))
-        if fam is not None:
-            return fam
-    tcy = any(g.adj[t] & (c_set - {y}) for t in core.t)
-    if flex and not tcy and sc:
+    if fam is None and flex:
         fam = _attempt(trace, "core-semi-through-y", lambda: _semi_in_h_plus_y(g, core, k))
-        if fam is not None:
-            return fam
-
-    if len(c_set) == 1:
+    if fam is not None:
+        return fam
+    if len(core.component_c) == 1:
         return _case_single_y(g, x, y, k, flex, trace, core)
     return _case_big_c(g, x, y, k, flex, trace, core)
 
 
 def _semi_in_h_plus_y(g, core, k):
-    """T attaches to C only at y, with y adjacent across T: even ladder
-    lengths 2..2l+2 plus one length-(2l+3) path using an edge inside T."""
+    """k paths in the semi-length case l = k - 2 where no vertex of T has a
+    neighbor in C - y and some vertex of S - x has one in C; None outside
+    it.  The members are x, an odd ladder of length 1..2l+1 to a T-neighbor
+    of y, then y, and one path x .. t1 t2 y of length 2l + 3 over an edge
+    t1 t2 inside T."""
     x, y = core.x, core.y
     l = core.l
     if l != k - 2 or len(core.t) < l + 2:
+        return None
+    c_set = set(core.component_c)
+    if any(g.adj[t] & (c_set - {y}) for t in core.t):
+        return None
+    if not any(g.adj[v] & c_set for v in core.s if v != x):
         return None
     t_y = [t for t in core.t if g.has_edge(t, y)]
     if not t_y:
@@ -563,8 +569,6 @@ def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
     t_set = set(core.t)
     c_set = set(core.component_c)
     attach = [v for v in blk if g.adj[v] & t_set]
-    if not attach:
-        return None
     fam = _recurse_on(g, blk, (attach, core.t), b, k - l, flex, trace)
     if b == y:
         tail = ()

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from cyclemod import certify, cycles
 from cyclemod.cli import main
 from cyclemod.cycles import branch_of
-from cyclemod.graph import complete_bipartite, complete_graph, format_graph
+from cyclemod.graph import Graph, complete_bipartite, complete_graph, format_graph
 from cyclemod.smallgraphs import two_connected_graphs
 
 
@@ -35,10 +35,17 @@ def test_paths_success():
     assert certify.verify(cert) == (True, None)
 
 
-def test_paths_hypothesis_not_met():
-    res = run("paths", "--graph", "g", "--x", "0", "--y", "1", "--k", "2",
-              files={"g": K4})
+# G + xy of the bowtie is not 2-connected: 0 cuts the triangle 045 off
+BOWTIE = format_graph(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 0)]))
+
+
+@pytest.mark.parametrize("graph, x, y, k", [(K4, 0, 1, 2), (BOWTIE, 1, 2, 1)],
+                         ids=["k4-degree", "bowtie-cut"])
+def test_paths_hypothesis_not_met(graph, x, y, k):
+    res = run("paths", "--graph", "g", "--x", str(x), "--y", str(y), "--k", str(k),
+              files={"g": graph})
     assert res.exit_code == 2
+    assert "hypothesis not met" in res.stderr
 
 
 def test_paths_bad_file():

@@ -13,6 +13,7 @@ from cyclemod.graph import Graph, complete_graph, induced
 from cyclemod.decompose import is_rooted_2_connected
 from cyclemod.families import LENGTH, SEMI, FamilyClass, first_window, validate_path_family
 from cyclemod.oraclekern import find_path_with_length, path_length_set
+from cyclemod.core import find_core
 from cyclemod.paths import (
     ExtractionTrace,
     _recurse_on,
@@ -121,6 +122,15 @@ def test_oracle_agrees_with_networkx_enumeration():
 def test_hypothesis_not_met():
     with pytest.raises(HypothesisNotMet):
         find_paths_length(complete_graph(4), 0, 1, 2)  # needs rooted deg >= 4
+
+
+@pytest.mark.parametrize("find", [find_paths_length, find_paths_flex])
+def test_a_graph_whose_g_plus_xy_has_a_cut_vertex_misses_the_hypothesis(find):
+    # the bowtie: every degree outside {1, 2} is >= 2, but 0 cuts off the
+    # triangle 045, so G + xy is not 2-connected
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 0)])
+    with pytest.raises(HypothesisNotMet, match="2-connected"):
+        find(g, 1, 2, 1)
 
 
 def test_k1_returns_single_path():
@@ -319,3 +329,14 @@ def test_a_construction_that_raises_is_declined_with_no_tag(monkeypatch):
     assert ("block-to-t", None) in attempts
     assert "block-to-t" not in trace.branches
     assert trace.branches[-1] == "oracle-fallback" and trace.constructive_gap
+
+
+@pytest.mark.parametrize("n, edges, x, y", [
+    # T reaches C - y
+    (7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (2, 4), (3, 4), (5, 6)], 2, 5),
+    # S - x has no neighbor in C
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3), (2, 5)], 1, 4),
+], ids=["t-reaches-c-minus-y", "s-misses-c"])
+def test_semi_through_y_declines_outside_its_case(n, edges, x, y):
+    g = Graph(n, edges)
+    assert paths._semi_in_h_plus_y(g, find_core(g, x, y), 3) is None

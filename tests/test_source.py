@@ -107,7 +107,7 @@ def test_one_subproblem_builder():
                         callers[called].add(f"{path.stem}.{top.name}")
     assert callers == {
         "induced": {"paths._recurse_on"},
-        "_fits": {"paths._recurse_on"},
+        "_fits": {"paths._recurse_on", "paths._check_hypothesis"},
         "contract_set": {"paths._case_no_core"},
     }
     assert "_recurse_on_sub" not in defined

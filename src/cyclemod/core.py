@@ -30,7 +30,6 @@ from .families import (
     FamilyClass,
     join_paths,
     make_path_family,
-    validate_path_family,
 )
 from .graph import adj_masks, mask_bits, shortest_path
 from .oraclekern import default_budget
@@ -257,7 +256,7 @@ def core_paths_big_l(g, core, k):
     l = core.l
     if l < 1:
         raise HypothesisNotMet("core has no ladder (l = 0)")
-    x, y = core.x, core.y
+    x = core.x
     c_set = set(core.component_c)
     t_c_edge = any(g.adj[t] & c_set for t in core.t)
     if not (l >= k or (l == k - 1 and t_c_edge)):
@@ -273,8 +272,7 @@ def core_paths_big_l(g, core, k):
         for i in range(1, k + 1):  # even ladders 2, 4, ..., 2k  (needs l >= k)
             lad = h_ladder_path(core, x, w, 2 * i)
             members.append(join_paths(lad, exit_path))
-    fam = make_path_family(members, cls=FamilyClass(LENGTH))
-    return validate_path_family(g, fam, x, y, allowed=(LENGTH,))
+    return make_path_family(members, cls=FamilyClass(LENGTH))
 
 
 def core_paths_semilength(g, core, k):
@@ -282,7 +280,7 @@ def core_paths_semilength(g, core, k):
     some (S - x)-C edge exists and T spans an edge: even ladders 2..2l plus
     one path of length 2l + 1 that uses the T-T edge, all exiting via s."""
     l = core.l
-    x, y = core.x, core.y
+    x = core.x
     if l < 1 or l != k - 1:
         raise HypothesisNotMet("need l = k - 1 >= 1")
     c_set = set(core.component_c)
@@ -310,8 +308,7 @@ def core_paths_semilength(g, core, k):
         seq.append(free_t[j])
     seq.append(s)
     members.append(join_paths(tuple(seq), exit_path))
-    fam = make_path_family(members, cls=FamilyClass(SEMI, k - 1))
-    return validate_path_family(g, fam, x, y, allowed=(SEMI,))
+    return make_path_family(members, cls=FamilyClass(SEMI, k - 1))
 
 
 # -- turning attachment families into (x, y)-families ----------------------
@@ -354,5 +351,4 @@ def extend_from_core(g, core, fam, k):
 
     if len(members) != k:
         raise HypothesisNotMet(f"construction yields {len(members)} paths, not {k}")
-    fam_out = make_path_family(members, cls=fam.cls)
-    return validate_path_family(g, fam_out, x, y, allowed=(fam.cls.kind,))
+    return make_path_family(members, cls=fam.cls)

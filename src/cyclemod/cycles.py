@@ -171,10 +171,11 @@ def check_witness(g, c):
     return True, None
 
 
-def find_nonsep_induced_odd_cycle(g):
+def find_nonsep_induced_odd_cycle(g, adj=None):
     """Smallest (by length, then lexicographic vertex set) non-separating
     induced odd cycle that check_witness accepts, as a tuple in cyclic
     order from its smallest vertex, or None (e.g. for bipartite inputs).
+    `adj` holds the adjacency bitmasks of g when the caller has them.
 
     A usable witness exists whenever G is 3-connected, non-bipartite and
     delta(G) >= 4.
@@ -190,7 +191,8 @@ def find_nonsep_induced_odd_cycle(g):
     cycles of one (length, s) are collected before any is tested, so the
     order of the walk does not move the point where the budget runs out.
     """
-    adj = adj_masks(g)
+    if adj is None:
+        adj = adj_masks(g)
     budget = default_budget()
     charged = 0
     for length in range(3, g.n + 1, 2):
@@ -286,11 +288,11 @@ def _branch_ii(g, k, trace, adj):
     condition in a 3-connected non-bipartite graph that find_k_cycles has
     checked and sent here: from an edge for k = 2, else fanned around a
     non-separating induced odd cycle.  `adj` holds the adjacency bitmasks
-    of g, for the oracle fallback."""
+    of g, for the witness search and the oracle fallback."""
     if k == 2:
         fam = _two_cycles_from_edge(g, trace)
     else:
-        w = find_nonsep_induced_odd_cycle(g)
+        w = find_nonsep_induced_odd_cycle(g, adj)
         if w is None:
             fam = None
         elif len(w) == 3:
@@ -425,7 +427,7 @@ def _classify(g):
     the 2-separations of g in two_separations order, resumed from the scan
     that found the first one, otherwise no separations; and the adjacency
     bitmasks of g, built once for the contraction certificate and handed
-    on to the oracle search (None when n < 4).
+    on to the witness and oracle searches (None when n < 4).
 
     On n >= 4 vertices g is 3-connected exactly when it has no
     2-separation.  _contracts_to_k4 proves that for most 3-connected graphs

@@ -24,11 +24,11 @@ G - V(H), and a cascade of constructions follows:
   across C itself, each extended through H by ladders.
 
 The cascade holds only the sites that some public request reaches (the
-reach table in tests/test_reach.py).  Each site validates its own output,
-and each is tried through _attempt: a construction that declines leaves no
-tag in the trace, its sub-requests' tags included.  If the whole cascade
-fails, an exhaustive oracle produces the family and records the GAP_TAG
-tag, so a constructive gap is measurable rather than silent.
+reach table in tests/test_reach.py).  A site only builds; _engine
+validates the level's family once.  Each is tried through _attempt: a
+construction that declines leaves no tag, its sub-requests' tags included.
+If the whole cascade fails, an exhaustive oracle produces the family and
+records the GAP_TAG tag, so a constructive gap is measurable, not silent.
 """
 
 from __future__ import annotations
@@ -228,10 +228,17 @@ _BRANCH_ERRORS = (
 
 
 def _engine(g, x, y, k, flex, trace):
-    """The recursion; callers have checked the hypothesis for (g, x, y, k)."""
-    if g.degree(x) > g.degree(y):
-        return reverse_family(_engine(g, y, x, k, flex, trace))
-
+    """One level of the recursion; callers have checked the hypothesis for
+    (g, x, y, k).  It puts the smaller degree at x and, for k >= 2, drops
+    an edge xy (both keep G + xy, and the drop keeps the degree order);
+    then it dispatches once, falls back to the oracle once, validates once
+    and reverses once if it swapped.  It re-enters only via _recurse_on."""
+    swapped = g.degree(x) > g.degree(y)
+    if swapped:
+        x, y = y, x
+    if k >= 2 and g.has_edge(x, y):
+        trace.record("drop-xy-edge")
+        g = g.without_edge(x, y)
     fam = _dispatch(g, x, y, k, flex, trace)
     if fam is None:
         fam = oracle_paths(g, x, y, k, flex=flex)
@@ -244,25 +251,19 @@ def _engine(g, x, y, k, flex, trace):
     validate_path_family(g, fam, x, y, allowed=allowed)
     if fam.k != k:
         raise InvalidWitness(f"expected {k} members, got {fam.k}")
-    return fam
+    return reverse_family(fam) if swapped else fam
 
 
 def _dispatch(g, x, y, k, flex, trace):
-    """One level of the recursion on (g, x, y), which the caller has made
-    rooted 2-connected: G + xy is 2-connected.  Every caller of _engine
-    guarantees it: the public entry points (_check_hypothesis) and each
-    descent (_recurse_on) check it with the one copy of the hypothesis,
-    _fits; the degree swap and the drop of xy keep G + xy, and
-    cycles._two_cycles_from_edge passes an edge xy of a 2-connected G.  So
-    when xy is an edge, G = G + xy is 2-connected, and the edge test comes
-    before the 2-connectivity walk that would only confirm it; the branch
-    taken is the same either way."""
+    """One level of the recursion on (g, x, y).  G + xy is 2-connected: the
+    entry points (_check_hypothesis) and each descent (_recurse_on) check
+    it with _fits, and cycles._two_cycles_from_edge passes an edge xy of a
+    2-connected G.  For k >= 2, _engine has dropped xy, so the
+    2-connectivity walk never runs on a graph that holds it, where it
+    would only confirm G + xy = G."""
     if k == 1:
         trace.record("single-path")
         return _base_single(g, x, y)
-    if g.has_edge(x, y):
-        trace.record("drop-xy-edge")
-        return _engine(g.without_edge(x, y), x, y, k, flex, trace)
     if not is_2_connected(g):
         return _split_at_end_block(g, x, y, k, flex, trace)
     core = find_core(g, x, y)

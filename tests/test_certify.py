@@ -4,9 +4,11 @@ import copy
 import time
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclemod import certify
+from cyclemod.errors import InvalidArgument
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_graph
 from cyclemod.cycles import find_k_cycles, residue_map
@@ -227,3 +229,53 @@ def test_extractions_round_trip_through_verify(data):
     _round_trip(g, "paths", k, find_paths_length(g, x, y, k), x=x, y=y)
     k = data.draw(st.integers(1, (d + 1) // 2), label="k flex paths")
     _round_trip(g, "paths", k, find_paths_flex(g, x, y, k), x=x, y=y)
+
+
+def paths_cert():
+    g = complete_graph(5)
+    return certify.make_certificate(g, "paths", 2, find_paths_length(g, 0, 1, 2), x=0, y=1)
+
+
+# (mutation, the prefix of the reason verify gives for it)
+ANY_CERT_MUTATIONS = {
+    "missing-field": (lambda c: c.pop("graph"), "missing field 'graph'"),
+    "unknown-command": (lambda c: c.update(command="bogus"), "unknown command"),
+    "graph-not-a-dict": (lambda c: c.update(graph=[5, []]), "malformed graph"),
+    "bad-vertex-count": (lambda c: c["graph"].update(n=-1), "bad vertex count"),
+    "malformed-edge": (lambda c: c["graph"]["edges"].append([0, 1, 2]), "malformed edge"),
+    "duplicate-edge": (lambda c: c["graph"]["edges"].append([0, 1]), "duplicate edge"),
+    "class-not-a-dict": (lambda c: c.update({"class": "length"}), "malformed class"),
+    "unknown-class-kind": (lambda c: c["class"].update(kind="bogus"), "unknown class kind"),
+    "class-and-switch": (lambda c: c["class"].update(switch=1), "inconsistent class/switch"),
+}
+PATHS_MUTATIONS = {
+    "member-misses-y": (lambda c: c["family"][-1].pop(), "member does not end at y"),
+}
+CYCLES_MOD_MUTATIONS = {
+    "residues-not-a-dict": (lambda c: c.update(residues=[[0, 3, 1]]), "malformed residue map"),
+    "residue-keys": (lambda c: c["residues"].pop("0"), "residue keys are not exactly 0..2"),
+    "residue-not-a-cycle": (lambda c: c["residues"].update({"0": [0, 1]}),
+                            "residue witness is not a cycle"),
+}
+MUTATIONS = [
+    pytest.param(make, mutate, prefix, id=f"{name}-{key}")
+    for name, make, table in [("paths", paths_cert, {**ANY_CERT_MUTATIONS, **PATHS_MUTATIONS}),
+                              ("cycles-mod", sample_cert,
+                               {**ANY_CERT_MUTATIONS, **CYCLES_MOD_MUTATIONS})]
+    for key, (mutate, prefix) in table.items()
+]
+
+
+@pytest.mark.parametrize("make, mutate, prefix", MUTATIONS)
+def test_each_malformed_certificate_is_rejected_with_its_reason(make, mutate, prefix):
+    cert = make()
+    assert certify.verify(cert) == (True, None)
+    mutate(cert)
+    ok, reason = certify.verify(cert)
+    assert ok is False and reason.startswith(prefix), reason
+
+
+def test_a_certificate_of_an_unknown_command_is_not_made():
+    g = complete_graph(5)
+    with pytest.raises(InvalidArgument):
+        certify.make_certificate(g, "bogus", 2, find_paths_length(g, 0, 1, 2), x=0, y=1)

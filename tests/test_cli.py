@@ -5,10 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cyclemod import certify, cycles
+from cyclemod import certify, cycles, paths
 from cyclemod.cli import main
 from cyclemod.cycles import branch_of
-from cyclemod.graph import Graph, complete_bipartite, complete_graph, format_graph
+from cyclemod.graph import Graph, complete_bipartite, complete_graph, cycle_graph, format_graph
 from cyclemod.smallgraphs import two_connected_graphs
 
 
@@ -137,6 +137,14 @@ def test_verify_paths_without_roots_fails_with_exit_4():
     assert bad.exit_code == 4 and bad.output.startswith("FAIL")
 
 
+def test_verify_rejects_an_unknown_class_kind_with_exit_4():
+    res = run("cycles", "--graph", "g", "--k", "3", "--mod", files={"g": K5})
+    cert = json.loads(res.output)
+    cert["class"]["kind"] = "bogus"
+    bad = run("verify", "--cert", "c", files={"c": json.dumps(cert)})
+    assert bad.exit_code == 4 and bad.output.startswith("FAIL: unknown class kind")
+
+
 def test_cycles_branch_iii_with_mod():
     res = run("cycles", "--graph", "g", "--k", "3", "--mod", files={"g": K44})
     assert res.exit_code == 0
@@ -182,3 +190,51 @@ def test_sweep_samples():
     res = run("sweep", "--nmax", "6", "--samples", "10")
     assert res.exit_code == 0
     assert "fails 0" in res.output
+
+
+def test_cycles_oracle_certificate_verifies():
+    res = run("cycles", "--graph", "g", "--k", "2", "--oracle", files={"g": K5})
+    assert res.exit_code == 0
+    cert = json.loads(res.stdout)
+    assert cert["branch"] == "II"
+    assert certify.verify(cert) == (True, None)
+
+
+def test_a_constructive_gap_exits_3_and_still_prints_the_certificate(monkeypatch):
+    dispatch = paths._dispatch
+    dispatched = []
+
+    def first_declines(*args):
+        dispatched.append(args)
+        return None if len(dispatched) == 1 else dispatch(*args)
+
+    monkeypatch.setattr(paths, "_dispatch", first_declines)
+    res = run("paths", "--graph", "g", "--x", "0", "--y", "1", "--k", "2", files={"g": K5})
+    assert res.exit_code == 3 and "constructive gap" in res.stderr
+    cert = json.loads(res.stdout)
+    assert cert["trace"]["constructive_gap"] is True
+    assert certify.verify(cert) == (True, None)
+
+
+def test_an_oracle_that_finds_no_family_exits_3():
+    res = run("paths", "--graph", "g", "--x", "0", "--y", "1", "--k", "2", "--oracle",
+              files={"g": format_graph(cycle_graph(4))})
+    assert res.exit_code == 3
+    assert "oracle: no such family exists" in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("args, files, says", [
+    (("verify", "--cert", "c"), {}, "cannot read c"),
+    (("verify", "--cert", "c"), {"c": "not json"}, "bad certificate"),
+    (("verify", "--cert", "c"), {"c": "[]"}, "bad certificate"),
+    (("paths", "--graph", "g", "--x", "0", "--y", "1", "--k", "1"), {}, "cannot read g"),
+    (("gen", "--n", "2", "--mindeg", "1"), {}, "bad generation spec"),
+    (("sweep", "--nmax", "5"), {}, "choose exactly one"),
+    (("sweep", "--nmax", "5", "--exhaustive", "--samples", "3"), {}, "choose exactly one"),
+    (("sweep", "--nmax", "8", "--exhaustive"), {}, "available up to n = 7"),
+], ids=["verify-missing-file", "verify-not-json", "verify-json-array", "paths-missing-graph",
+        "gen-bad-spec", "sweep-neither-mode", "sweep-both-modes", "sweep-exhaustive-past-7"])
+def test_bad_input_exits_1(args, files, says):
+    res = run(*args, files=files)
+    assert res.exit_code == 1
+    assert says in res.stderr and res.stdout == ""

@@ -684,11 +684,14 @@ def test_a_branch_iii_request_builds_the_adjacency_masks_once(monkeypatch):
         built.append(h)
         return adj_masks(h)
 
+    # the branch II witness search reads them too
+    requests = [(complete_bipartite(4, 5), 3, "III"),
+                (cycle_graph(5), 1, "I"),
+                (complete_bipartite(4, 5), 1, "III"),
+                (generate(GenSpec(n=12, min_degree=4, connectivity=3, seed=3)), 3, "II")]
     for module in (cycles, decompose, oraclekern):
         monkeypatch.setattr(module, "adj_masks", counted, raising=False)
-    for g, k, want in [(complete_bipartite(4, 5), 3, "III"),
-                       (cycle_graph(5), 1, "I"),
-                       (complete_bipartite(4, 5), 1, "III")]:
+    for g, k, want in requests:
         built.clear()
         fam, branch = find_k_cycles(g, k)
         assert branch == want and fam.k == k and built == [g], (g.edges(), k)

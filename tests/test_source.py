@@ -151,14 +151,46 @@ def _self_calls(node, prefix):
 def test_only_shallow_functions_recurse():
     # Python recursion stops at about 1000 frames, so a search that is as
     # deep as the graph is large walks an explicit stack instead
-    allowed = {
-        # once, with the roots swapped to put the smaller degree at x
-        "paths._engine",
-    }
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found |= set(_self_calls(ast.parse(path.read_text(), filename=str(path)), path.stem))
-    assert found == allowed
+    assert not found, f"functions that call themselves: {sorted(found)}"
+
+
+def _top_level_callers(names):
+    """For each function name in `names`, the top-level src functions, as
+    module.name, whose body (nested functions and lambdas included) calls
+    it by that name."""
+    callers = {name: set() for name in names}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                    callers[node.func.id].add(f"{path.stem}.{top.name}")
+    return callers
+
+
+def test_each_family_is_validated_where_it_is_returned():
+    # a construction only builds: the engine level that returns a path
+    # family validates it once, and so do the two entry points that return
+    # a cycle family; each oracle validates its own answer
+    assert _top_level_callers(["validate_path_family", "validate_cycle_family"]) == {
+        "validate_path_family": {"paths._engine", "paths.oracle_paths"},
+        "validate_cycle_family": {"cycles.oracle_cycles", "cycles.find_k_cycles"},
+    }
+
+
+def test_the_engine_is_entered_only_from_outside_a_level():
+    # the swap and the drop of xy happen in line, so a level dispatches
+    # once; the engine re-enters only through _recurse_on, on a subproblem
+    assert _top_level_callers(["_engine"])["_engine"] == {
+        "paths._recurse_on",
+        "paths.find_paths_length",
+        "paths.find_paths_flex",
+        "cycles._two_cycles_from_edge",
+    }
 
 
 def _reads_the_environment(node):

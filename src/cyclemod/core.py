@@ -254,8 +254,6 @@ def core_paths_big_l(g, core, k):
     """k (x, y)-paths satisfying the length condition, when l >= k or
     (l = k - 1 and some T-C edge exists): ladder through H, one exit to y."""
     l = core.l
-    if l < 1:
-        raise HypothesisNotMet("core has no ladder (l = 0)")
     x = core.x
     c_set = set(core.component_c)
     t_c_edge = any(g.adj[t] & c_set for t in core.t)
@@ -281,8 +279,8 @@ def core_paths_semilength(g, core, k):
     one path of length 2l + 1 that uses the T-T edge, all exiting via s."""
     l = core.l
     x = core.x
-    if l < 1 or l != k - 1:
-        raise HypothesisNotMet("need l = k - 1 >= 1")
+    if l != k - 1:
+        raise HypothesisNotMet("need l = k - 1")
     c_set = set(core.component_c)
     s_cands = [s for s in core.s if s != x and (g.adj[s] & c_set)]
     if not s_cands:
@@ -324,11 +322,7 @@ def extend_from_core(g, core, fam, k):
     """
     l = core.l
     x, y = core.x, core.y
-    if l < 1:
-        raise HypothesisNotMet("core has no ladder (l = 0)")
     need = k - l
-    if need < 1:
-        raise HypothesisNotMet("k too small relative to l for this attachment")
     if len(fam.members) != need or fam.cls.kind not in (LENGTH, SEMI):
         raise HypothesisNotMet(
             f"(T, y)-paths: need {need} members with a length or semi-length class"
@@ -348,7 +342,4 @@ def extend_from_core(g, core, fam, k):
     for j in range(1, l + 1):
         lad = h_ladder_path(core, x, last[0], 2 * j + 1)
         members.append(join_paths(lad, last))
-
-    if len(members) != k:
-        raise HypothesisNotMet(f"construction yields {len(members)} paths, not {k}")
     return make_path_family(members, cls=fam.cls)

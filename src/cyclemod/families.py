@@ -131,11 +131,18 @@ class Family:
     """Ordered family of path witnesses (vertex tuples) or cycle witnesses
     (vertex tuples without the repeated start), plus its classification.
 
-    Members are stored shortest-first / longest-last."""
+    Members are stored shortest-first / longest-last.  The one check that
+    the member lengths admit the class: a family of any other class raises
+    InvalidWitness when it is built; classify's UNCLASSIFIED reading is kept
+    as given."""
 
     members: tuple
     cls: FamilyClass
     is_cycles: bool = False
+
+    def __post_init__(self):
+        if self.cls.kind != UNCLASSIFIED and not class_holds(self.lengths(), self.cls):
+            raise InvalidWitness(f"lengths {self.lengths()} do not admit the reading {self.cls}")
 
     @property
     def k(self):
@@ -147,12 +154,11 @@ class Family:
 
 
 def _make_family(members, cls, is_cycles):
+    """Family of the members, classified only when cls is None; Family
+    checks a declared cls."""
     members = tuple(tuple(m) for m in members)
-    lengths = [cycle_len(m) if is_cycles else path_len(m) for m in members]
     if cls is None:
-        cls = classify(lengths)
-    elif not class_holds(lengths, cls):
-        raise InvalidWitness(f"lengths {lengths} do not admit the reading {cls}")
+        cls = classify([cycle_len(m) if is_cycles else path_len(m) for m in members])
     return Family(members, cls, is_cycles)
 
 
@@ -167,8 +173,8 @@ def make_cycle_family(members, cls=None):
 
 
 def _check_class(fam, allowed):
-    if not class_holds(fam.lengths(), fam.cls):
-        raise InvalidWitness(f"declared class {fam.cls} fails for lengths {fam.lengths()}")
+    """The declared class is one of `allowed`; that the lengths admit it,
+    Family checked when the family was built."""
     if fam.cls.kind not in allowed:
         raise InvalidWitness(f"class {fam.cls.kind} not allowed here")
     return fam
@@ -176,7 +182,7 @@ def _check_class(fam, allowed):
 
 def validate_path_family(g, fam, x=None, y=None, allowed=(LENGTH, SEMI, CONSECUTIVE)):
     """Every member a simple path in g (shared endpoints x, y when given),
-    and the declared class holds and is allowed.  Returns the family."""
+    and the declared class is allowed.  Returns the family."""
     if fam.is_cycles:
         raise InvalidWitness("expected a path family")
     for m in fam.members:
@@ -189,13 +195,14 @@ def validate_path_family(g, fam, x=None, y=None, allowed=(LENGTH, SEMI, CONSECUT
     return _check_class(fam, allowed)
 
 
-def validate_cycle_family(g, fam, allowed=(LENGTH, CONSECUTIVE)):
+def validate_cycle_family(g, fam):
+    """Every member a simple cycle in g, of a length or consecutive class."""
     if not fam.is_cycles:
         raise InvalidWitness("expected a cycle family")
     for m in fam.members:
         if not cycle_ok(g, m):
             raise InvalidWitness(f"not a cycle in the host graph: {m}")
-    return _check_class(fam, allowed)
+    return _check_class(fam, (LENGTH, CONSECUTIVE))
 
 
 # -- path surgery helpers ------------------------------------------------
@@ -287,10 +294,7 @@ def glue_two_sided_semilength(p_fam, q_fam):
     if len(p_fam.members) != len(q_fam.members):
         raise InvalidArgument("sides must have equally many members (l + 1)")
     rows = semi_rows(p_fam.members, ps, q_fam.members, qs)
-    fam = make_cycle_family([close_cycle(a, b) for a, b in rows], cls=FamilyClass(LENGTH))
-    if len(rows) != 2 * (len(p_fam.members) - 1):
-        raise InvalidWitness("semi-length glue did not produce 2l cycles")
-    return fam
+    return make_cycle_family([close_cycle(a, b) for a, b in rows], cls=FamilyClass(LENGTH))
 
 
 def _arc(rot, i, j, forward):
@@ -391,10 +395,7 @@ def odd_cycle_x_fan(rot, x, paths_fam, l):
     last = paths_fam.members[-1]
     rows.append(tuple(last) + a_um_long[1:])
     rows.append(tuple(last) + a_up_long[1:])
-    fam = make_cycle_family(rows, cls=FamilyClass(CONSECUTIVE))
-    if len(rows) != 2 * l:
-        raise InvalidWitness("x-fan rows are not 2l cycles")
-    return fam
+    return make_cycle_family(rows, cls=FamilyClass(CONSECUTIVE))
 
 
 def residues_mod_k(lengths, k):

@@ -231,8 +231,10 @@ def _engine(g, x, y, k, flex, trace):
     """One level of the recursion; callers have checked the hypothesis for
     (g, x, y, k).  It puts the smaller degree at x and, for k >= 2, drops
     an edge xy (both keep G + xy, and the drop keeps the degree order);
-    then it dispatches once, falls back to the oracle once, validates once
-    and reverses once if it swapped.  It re-enters only via _recurse_on."""
+    then it dispatches once and validates the family _dispatch returns, or
+    falls back once to oracle_paths, which validates its own answer against
+    the same g, x and y; and it reverses once if it swapped.  It re-enters
+    only via _recurse_on."""
     swapped = g.degree(x) > g.degree(y)
     if swapped:
         x, y = y, x
@@ -240,17 +242,17 @@ def _engine(g, x, y, k, flex, trace):
         trace.record("drop-xy-edge")
         g = g.without_edge(x, y)
     fam = _dispatch(g, x, y, k, flex, trace)
-    if fam is None:
+    if fam is not None:
+        validate_path_family(g, fam, x, y, allowed=(LENGTH, SEMI) if flex else (LENGTH,))
+        if fam.k != k:
+            raise InvalidWitness(f"expected {k} members, got {fam.k}")
+    else:
         fam = oracle_paths(g, x, y, k, flex=flex)
         if fam is None:
             raise HypothesisNotMet(
                 f"no family of {k} (x, y)-paths exists at all in this graph"
             )
         trace.record(GAP_TAG)
-    allowed = (LENGTH, SEMI) if flex else (LENGTH,)
-    validate_path_family(g, fam, x, y, allowed=allowed)
-    if fam.k != k:
-        raise InvalidWitness(f"expected {k} members, got {fam.k}")
     return reverse_family(fam) if swapped else fam
 
 
@@ -478,22 +480,12 @@ def _semi_in_h_plus_y(g, core, k):
     for i in range(1, l + 2):  # odd ladders 1..2l+1, then the ty edge
         lad = h_ladder_path(core, x, ty, 2 * i - 1)
         members.append(lad + (y,))
-    long_member = None
-    for t1 in core.t:
-        for t2 in core.t:
-            if t1 == t2 or not g.has_edge(t1, t2) or not g.has_edge(t2, y):
-                continue
-            try:
-                lad = h_ladder_path(core, x, t1, 2 * l + 1, avoid=(t2,))
-            except InvalidArgument:
-                continue
-            long_member = lad + (t2, y)
-            break
-        if long_member:
-            break
-    if long_member is None:
+    pair = next(((t1, t2) for t1 in core.t for t2 in core.t
+                 if t1 != t2 and g.has_edge(t1, t2) and g.has_edge(t2, y)), None)
+    if pair is None:
         return None
-    members.append(long_member)
+    t1, t2 = pair
+    members.append(h_ladder_path(core, x, t1, 2 * l + 1, avoid=(t2,)) + (t2, y))
     return make_path_family(members, cls=FamilyClass(SEMI, k - 1))
 
 

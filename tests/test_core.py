@@ -28,7 +28,7 @@ from cyclemod.core import (
     h_ladder_path,
     verify_core,
 )
-from cyclemod.families import LENGTH, SEMI, path_len
+from cyclemod.families import LENGTH, SEMI, path_len, validate_path_family
 from cyclemod.paths import find_paths_flex, find_paths_length
 
 
@@ -84,6 +84,8 @@ def test_core_paths_big_l():
     k = core.l
     fam = core_paths_big_l(g, core, k)
     assert fam.cls.kind == LENGTH and fam.k == k
+    # the construction only builds; its members must still be (x, y)-paths
+    validate_path_family(g, fam, core.x, core.y)
     with pytest.raises(HypothesisNotMet):
         core_paths_big_l(g, core, core.l + 2)
 
@@ -96,6 +98,7 @@ def test_core_paths_semilength():
     fam = core_paths_semilength(g, core, k)
     assert fam.cls.kind == SEMI and fam.cls.switch == k - 1
     assert fam.k == k
+    validate_path_family(g, fam, core.x, core.y)
 
 
 # -- the bitmask walk against the subset loop it replaced ---------------------

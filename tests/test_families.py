@@ -5,12 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclemod.errors import InvalidWitness
+from cyclemod.errors import InvalidArgument, InvalidWitness
 from cyclemod.families import (
     CONSECUTIVE,
     LENGTH,
     SEMI,
     UNCLASSIFIED,
+    Family,
     FamilyClass,
     class_holds,
     classify,
@@ -19,13 +20,17 @@ from cyclemod.families import (
     glue_two_sided_semilength,
     join_paths,
     length_rows,
+    make_cycle_family,
     make_path_family,
     odd_cycle_fan,
     odd_cycle_x_fan,
     residues_mod_k,
     semi_rows,
     semi_switch,
+    validate_cycle_family,
+    validate_path_family,
 )
+from cyclemod.graph import complete_graph, cycle_graph
 
 
 def fab_paths(lengths, x=0, y=1, start=100):
@@ -144,6 +149,11 @@ def test_pattern_rules_match_the_difference_rules():
                     if cls.kind == SEMI and not 0 < cls.switch < k:
                         assert not holds, (lengths, cls)
     assert count == 6825
+
+
+def test_a_family_whose_lengths_miss_its_class_is_not_built():
+    with pytest.raises(InvalidWitness, match=r"^lengths \[2, 3\] do not admit the reading"):
+        Family(((0, 1, 2), (0, 3, 4, 2)), FamilyClass(LENGTH))
 
 
 # -- path surgery ------------------------------------------------------------
@@ -312,3 +322,81 @@ def test_length_condition_covers_residues_for_odd_k(i, a):
     lengths = [a + 2 * j for j in range(k)]
     _res, full = residues_mod_k(lengths, k)
     assert full
+
+
+# -- rejections ----------------------------------------------------------------
+
+
+K5, C5 = complete_graph(5), cycle_graph(5)
+C7 = tuple(range(7))  # an odd cycle as its rotation from u = 0; antipodes 3, 4
+
+
+def _paths(*members, cls=None):
+    return make_path_family(members, cls=cls)
+
+
+@pytest.mark.parametrize("call, error, prefix", [
+    (lambda: validate_path_family(K5, make_cycle_family([(0, 1, 2)])),
+     InvalidWitness, "expected a path family"),
+    (lambda: validate_path_family(C5, _paths((0, 2, 1))),
+     InvalidWitness, "not a path in the host graph"),
+    (lambda: validate_path_family(K5, _paths((0, 2, 1)), 3, 1),
+     InvalidWitness, "member does not start at 3"),
+    (lambda: validate_path_family(K5, _paths((0, 2, 1)), 0, 3),
+     InvalidWitness, "member does not end at 3"),
+    (lambda: validate_path_family(K5, _paths((0, 2, 1), (0, 2, 3, 1)), allowed=(LENGTH, SEMI)),
+     InvalidWitness, "class consecutive not allowed here"),
+    (lambda: validate_cycle_family(K5, _paths((0, 2, 1))),
+     InvalidWitness, "expected a cycle family"),
+    (lambda: validate_cycle_family(C5, make_cycle_family([(0, 1, 2)])),
+     InvalidWitness, "not a cycle in the host graph"),
+    (lambda: close_cycle((0, 2, 1), (0, 3, 4)),
+     InvalidWitness, "paths do not share endpoints"),
+    (lambda: glue_two_sided_length(_paths(*fab_paths([2, 3])), _paths(*fab_paths([3]))),
+     InvalidArgument, "both sides must satisfy the length condition"),
+    (lambda: glue_two_sided_semilength(_paths(*fab_paths([2, 4])), _paths(*fab_paths([2, 3]))),
+     InvalidArgument, "both sides must satisfy the semi-length condition"),
+    (lambda: glue_two_sided_semilength(_paths(*fab_paths([2, 4, 5])),
+                                       _paths(*fab_paths([2, 3], start=500))),
+     InvalidArgument, "sides must have equally many members"),
+    (lambda: odd_cycle_fan((0, 1, 2, 3), _paths((0, 9, 2)), 0),
+     InvalidArgument, "need an odd cycle of length >= 3"),
+    (lambda: odd_cycle_fan(C7, _paths((0, 9, 3), (0, 10, 11, 3), cls=FamilyClass(SEMI, 1)), 1),
+     InvalidArgument, "semi-length fan only available when phi = 0"),
+    (lambda: odd_cycle_fan(C7, _paths((0, 9, 3), (0, 10, 11, 3)), 0),
+     InvalidArgument, "fan needs a length or semi-length family"),
+    (lambda: odd_cycle_fan(C7, _paths((0, 9, 2)), 0),
+     InvalidWitness, "fan member must run from u to an antipode of u"),
+    (lambda: odd_cycle_fan(C7, _paths((0, 1, 9, 3)), 0),
+     InvalidWitness, "fan member not internally disjoint from the cycle"),
+    (lambda: odd_cycle_x_fan((0, 1, 2, 3, 4, 5), 99, _paths((99, 9, 3)), 2),
+     InvalidArgument, "need an odd cycle"),
+    (lambda: odd_cycle_x_fan((0, 1, 2), 99, _paths((99, 9, 1)), 2),
+     InvalidArgument, "need |C| >= 5 here"),
+    (lambda: odd_cycle_x_fan(C7, 99, _paths((99, 9, 3)), 3),
+     InvalidArgument, "need l - 1 paths satisfying the length condition"),
+    (lambda: odd_cycle_x_fan(C7, 99, _paths((99, 9, 4)), 2),
+     InvalidWitness, "member must run from x to the antipode"),
+    (lambda: odd_cycle_x_fan(C7, 99, _paths((99, 1, 3)), 2),
+     InvalidWitness, "member interior touches the cycle or x"),
+    (lambda: odd_cycle_x_fan(C7, 99, _paths((99, 9, 99, 3)), 2),
+     InvalidWitness, "member interior touches the cycle or x"),
+    (lambda: residues_mod_k([3, 4, 5], 0),
+     InvalidArgument, "k must be positive"),
+    (lambda: FamilyClass(SEMI),
+     InvalidArgument, "semi-length class needs a switch index"),
+    (lambda: classify([]),
+     InvalidArgument, "classify needs a nonempty list"),
+], ids=[
+    "path-validate-cycle-family", "path-not-in-g", "path-wrong-start", "path-wrong-end",
+    "path-class-not-allowed", "cycle-validate-path-family", "cycle-not-in-g",
+    "close-cycle-different-ends", "glue-length-semi-side", "glue-semi-no-semi-reading",
+    "glue-semi-unequal-sides", "fan-even-cycle", "fan-semi-at-phi-1", "fan-consecutive",
+    "fan-off-the-antipodes", "fan-through-c", "x-fan-even-cycle", "x-fan-triangle",
+    "x-fan-member-count", "x-fan-wrong-end", "x-fan-through-c", "x-fan-through-x",
+    "residues-k-0", "semi-class-no-switch", "classify-empty",
+])
+def test_each_rejection_names_its_reason(call, error, prefix):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(prefix)

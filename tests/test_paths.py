@@ -331,6 +331,28 @@ def test_a_construction_that_raises_is_declined_with_no_tag(monkeypatch):
     assert trace.branches[-1] == "oracle-fallback" and trace.constructive_gap
 
 
+def test_a_fallback_level_validates_its_family_once(monkeypatch):
+    # oracle_paths validates its answer against the level's g, x and y, so
+    # the level does not validate the fallback family a second time
+    dispatch, validate = paths._dispatch, paths.validate_path_family
+    dispatched, validated = [], []
+
+    def first_declines(*args):
+        dispatched.append(args)
+        return None if len(dispatched) == 1 else dispatch(*args)
+
+    def counted(*args, **kwargs):
+        validated.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "_dispatch", first_declines)
+    monkeypatch.setattr(paths, "validate_path_family", counted)
+    trace = ExtractionTrace()
+    fam = find_paths_flex(complete_graph(5), 0, 1, 2, trace=trace)
+    assert fam.k == 2 and trace.constructive_gap
+    assert len(validated) == 1
+
+
 @pytest.mark.parametrize("n, edges, x, y", [
     # T reaches C - y
     (7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (2, 4), (3, 4), (5, 6)], 2, 5),

@@ -157,18 +157,28 @@ def test_only_shallow_functions_recurse():
     assert not found, f"functions that call themselves: {sorted(found)}"
 
 
+def _top_level_functions(path):
+    """(module.name, node) of each top-level function of a src file, and
+    (module.Class.name, node) of each method of a top-level class."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, ast.FunctionDef):
+            yield f"{path.stem}.{top.name}", top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{path.stem}.{top.name}.{node.name}", node
+
+
 def _top_level_callers(names):
-    """For each function name in `names`, the top-level src functions, as
-    module.name, whose body (nested functions and lambdas included) calls
-    it by that name."""
+    """For each function name in `names`, the top-level src functions and
+    methods (see _top_level_functions) whose body, nested functions and
+    lambdas included, calls it by that name."""
     callers = {name: set() for name in names}
     for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(top, ast.FunctionDef):
-                continue
+        for qualname, top in _top_level_functions(path):
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
-                    callers[node.func.id].add(f"{path.stem}.{top.name}")
+                    callers[node.func.id].add(qualname)
     return callers
 
 
@@ -179,6 +189,18 @@ def test_each_family_is_validated_where_it_is_returned():
     assert _top_level_callers(["validate_path_family", "validate_cycle_family"]) == {
         "validate_path_family": {"paths._engine", "paths.oracle_paths"},
         "validate_cycle_family": {"cycles.oracle_cycles", "cycles.find_k_cycles"},
+    }
+
+
+def test_a_class_is_checked_against_its_lengths_in_one_place():
+    # Family checks its class when it is built, so no builder or validator
+    # checks it again; classify and semi_switch read the patterns, and
+    # certify.verify checks a certificate's class with no Family built
+    assert _top_level_callers(["class_holds"])["class_holds"] == {
+        "families.Family.__post_init__",
+        "families.classify",
+        "families.semi_switch",
+        "certify.verify",
     }
 
 

@@ -1,10 +1,21 @@
 """Connectivity structure: blocks, cut vertices, end blocks, 2-separations,
 and the rooted 2-connectivity test for a graph with two roots (x, y).
 
-(G, x, y) is rooted 2-connected iff G + xy is 2-connected; equivalently
-G is connected of order >= 3, has at most two end blocks, and every end
-block contains x or y as a non-cut vertex (the tests check that the two
-readings agree).
+(G, x, y) is rooted 2-connected iff G + xy is 2-connected.  rooted_end_blocks
+reads that off one walk of G, with no copy of G + xy: for G connected with
+n >= 3, G + xy is 2-connected iff G has at most two end blocks and each
+holds x or y as a non-cut vertex.  (G + xy 2-connected has no bridge, so G
+is connected.)  Proof.  A single block on n >= 3 vertices is 2-connected
+and holds both roots.  Otherwise each end block B has one cut vertex b, and
+B - b holds no cut vertex, so these sets are disjoint.  If: with two end
+blocks the block-cut tree is a path, and G - v, for each cut vertex v, has
+two components, one holding B1 - b1 and its root, the other B2 - b2 and
+the other root, which xy joins; any other v leaves G connected.  Only if:
+G + xy - b is connected and meets B - b and the rest of G - b, which only
+xy can join, so a root lies in B - b; a root lies in one such set at most,
+so there are at most two end blocks.  The tests check the reading against
+is_2_connected(G + xy) on every root pair of every connected graph on
+3..7 vertices.
 """
 
 from __future__ import annotations
@@ -90,37 +101,42 @@ def _low_link(g, without=()):
     return cuts, blocks
 
 
+def _connected_walk(g, without=()):
+    """_low_link(g, without) of a connected, non-empty G - without."""
+    walk = _low_link(g, without)
+    if walk is None:
+        raise Disconnected("needs a connected graph")
+    if not walk[1]:
+        raise InvalidArgument("empty graph")
+    return walk
+
+
 def block_cut_tree(g, without=()):
     """Blocks, cut vertices, incidence, end blocks of G - without, which
     must be connected and non-empty; vertices keep their ids in g."""
-    walk = _low_link(g, without)
-    if walk is None:
-        raise Disconnected("block_cut_tree needs a connected graph")
-    cuts, found = walk
-    if not found:
-        raise InvalidArgument("empty graph")
+    cuts, found = _connected_walk(g, without)
     blocks = sorted(tuple(sorted(blk)) for blk in found)
     incidence = tuple((i, v) for i, blk in enumerate(blocks) for v in blk if v in cuts)
     end_blocks = tuple(i for i, blk in enumerate(blocks) if len(cuts.intersection(blk)) <= 1)
     return BlockCutTree(tuple(blocks), tuple(sorted(cuts)), incidence, end_blocks)
 
 
+def _leaves(cuts, blocks):
+    """(sorted block, cut vertex) of each block of a walk with one cut
+    vertex, by block: the end blocks, none for a single block."""
+    hits = [(tuple(sorted(blk)), cuts.intersection(blk)) for blk in blocks]
+    return sorted((blk, *hit) for blk, hit in hits if len(hit) == 1)
+
+
 def leaf_blocks(g, without=()):
     """(block, cut vertex) for each end block of a connected G - without,
     in block-index order; empty when it is a single block."""
-    bct = block_cut_tree(g, without)
-    ends = set(bct.end_blocks)
-    return [(bct.blocks[i], v) for i, v in bct.incidence if i in ends]
+    return _leaves(*_connected_walk(g, without))
 
 
 def cut_vertices(g):
     """Sorted cut vertices of a connected graph."""
-    if g.n == 0:
-        raise InvalidArgument("empty graph")
-    walk = _low_link(g)
-    if walk is None:
-        raise Disconnected("cut_vertices needs a connected graph")
-    return tuple(sorted(walk[0]))
+    return tuple(sorted(_connected_walk(g)[0]))
 
 
 def is_2_connected(g, without=()):
@@ -132,13 +148,23 @@ def is_2_connected(g, without=()):
     return walk is not None and not walk[0]
 
 
+def rooted_end_blocks(g, x, y):
+    """The end blocks of G as leaf_blocks(g) gives them (empty when G is
+    2-connected) if G + xy is 2-connected, else None: the reading of the
+    module docstring, on one low-link walk of g."""
+    walk = _low_link(g) if g.n >= 3 else None
+    leaves = None if walk is None else _leaves(*walk)
+    if leaves is None or len(leaves) > 2 or any(
+            not {x, y}.intersection(blk) - {b} for blk, b in leaves):
+        return None
+    return leaves
+
+
 def is_rooted_2_connected(g, x, y):
     """True iff G + xy is 2-connected."""
-    if x == y:
-        raise InvalidArgument("roots must differ")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise InvalidArgument("root out of range")
-    return is_2_connected(g if g.has_edge(x, y) else g.with_edge(x, y))
+    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
+        raise InvalidArgument("roots must be two distinct vertices of g")
+    return rooted_end_blocks(g, x, y) is not None
 
 
 def two_separations(g):

@@ -153,23 +153,14 @@ class Family:
         return [f(m) for m in self.members]
 
 
-def _make_family(members, cls, is_cycles):
-    """Family of the members, classified only when cls is None; Family
-    checks a declared cls."""
-    members = tuple(tuple(m) for m in members)
-    if cls is None:
-        cls = classify([cycle_len(m) if is_cycles else path_len(m) for m in members])
-    return Family(members, cls, is_cycles)
+def make_path_family(members, cls):
+    """Path family of the members in class cls, which Family checks."""
+    return Family(tuple(tuple(m) for m in members), cls, False)
 
 
-def make_path_family(members, cls=None):
-    """Path family; classification auto-derived unless an explicit (valid)
-    reading is supplied."""
-    return _make_family(members, cls, False)
-
-
-def make_cycle_family(members, cls=None):
-    return _make_family(members, cls, True)
+def make_cycle_family(members, cls):
+    """Cycle family of the members in class cls, which Family checks."""
+    return Family(tuple(tuple(m) for m in members), cls, True)
 
 
 def _check_class(fam, allowed):

@@ -48,8 +48,7 @@ from .decompose import (
     block_cut_tree,
     feasible_end_blocks,
     is_2_connected,
-    is_rooted_2_connected,
-    leaf_blocks,
+    rooted_end_blocks,
 )
 from .families import (
     LENGTH,
@@ -140,32 +139,10 @@ def _check_request(g, x, y, k):
         raise InvalidArgument("roots must be two distinct vertices of g")
 
 
-def _check_hypothesis(g, x, y, k, flex):
-    _check_request(g, x, y, k)
-    if not _fits(g, x, y, k, flex):
-        raise HypothesisNotMet(
-            f"need G + xy 2-connected and minimum degree {_budget(k, flex)} "
-            f"outside the roots; the minimum degree is {g.rooted_min_degree(x, y)}"
-        )
-
-
-def _fits(aux, ax, ay, k, flex):
-    """Does (aux, ax, ay) meet the hypothesis for k paths: k >= 1, two
-    distinct roots, every other vertex of degree >= 2k (2k - 1 with flex),
-    and aux + ax ay 2-connected (which needs three or more vertices)?  The
-    one copy of the hypothesis: the entry points ask it of their own G, and
-    _recurse_on of each subproblem before it descends."""
-    if k < 1 or ax == ay:
-        return False
-    if aux.rooted_min_degree(ax, ay) < _budget(k, flex):
-        return False
-    return is_rooted_2_connected(aux, ax, ay)
-
-
 def _recurse_on(g, verts, a, b, k, flex, trace):
     """k (a, b)-paths found by recursing on G[verts], lifted back to the
-    ids of g; raises HypothesisNotMet when the subproblem misses the
-    hypothesis.  The one place that builds a relabelled subproblem and
+    ids of g; _engine raises HypothesisNotMet when the subproblem misses
+    the hypothesis.  The one place that builds a relabelled subproblem and
     lifts its paths back.
 
     A root is a vertex of `verts` or a super vertex, given as a pair
@@ -190,8 +167,6 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
             roots.append(inv[r])
     if len(adj) > sub.n:
         sub = Graph._of_adj(tuple(adj))
-    if not _fits(sub, roots[0], roots[1], k, flex):
-        raise HypothesisNotMet("the subproblem misses the hypothesis")
     fam = _engine(sub, roots[0], roots[1], k, flex, trace)
 
     def lift(v, root, near):
@@ -228,20 +203,32 @@ _BRANCH_ERRORS = (
 
 
 def _engine(g, x, y, k, flex, trace):
-    """One level of the recursion; callers have checked the hypothesis for
-    (g, x, y, k).  It puts the smaller degree at x and, for k >= 2, drops
-    an edge xy (both keep G + xy, and the drop keeps the degree order);
-    then it dispatches once and validates the family _dispatch returns, or
-    falls back once to oracle_paths, which validates its own answer against
-    the same g, x and y; and it reverses once if it swapped.  It re-enters
-    only via _recurse_on."""
+    """One level of the recursion, and the one place that checks the
+    hypothesis for k paths between distinct roots x, y (HypothesisNotMet
+    otherwise): k >= 1, degree >= 2k (2k - 1 with flex) outside the roots,
+    and G + xy 2-connected.  It puts the smaller degree at x and, for
+    k >= 2, drops an edge xy, which changes neither G + xy nor a degree
+    outside the roots; one walk of the level's graph then decides G + xy
+    and gives _dispatch its end blocks (decompose.rooted_end_blocks).  It
+    dispatches once and validates the family, or falls back once to
+    oracle_paths, which validates its own answer against the same g, x and
+    y; it reverses once if it swapped, and re-enters only via _recurse_on."""
     swapped = g.degree(x) > g.degree(y)
     if swapped:
         x, y = y, x
-    if k >= 2 and g.has_edge(x, y):
-        trace.record("drop-xy-edge")
+    drop = k >= 2 and g.has_edge(x, y)
+    if drop:
         g = g.without_edge(x, y)
-    fam = _dispatch(g, x, y, k, flex, trace)
+    degree = g.rooted_min_degree(x, y)
+    ends = rooted_end_blocks(g, x, y) if k >= 1 and degree >= _budget(k, flex) else None
+    if ends is None:
+        raise HypothesisNotMet(
+            f"need G + xy 2-connected and minimum degree {_budget(k, flex)} "
+            f"outside the roots; the minimum degree is {degree}"
+        )
+    if drop:
+        trace.record("drop-xy-edge")
+    fam = _dispatch(g, x, y, k, flex, trace, ends)
     if fam is not None:
         validate_path_family(g, fam, x, y, allowed=(LENGTH, SEMI) if flex else (LENGTH,))
         if fam.k != k:
@@ -256,18 +243,15 @@ def _engine(g, x, y, k, flex, trace):
     return reverse_family(fam) if swapped else fam
 
 
-def _dispatch(g, x, y, k, flex, trace):
-    """One level of the recursion on (g, x, y).  G + xy is 2-connected: the
-    entry points (_check_hypothesis) and each descent (_recurse_on) check
-    it with _fits, and cycles._two_cycles_from_edge passes an edge xy of a
-    2-connected G.  For k >= 2, _engine has dropped xy, so the
-    2-connectivity walk never runs on a graph that holds it, where it
-    would only confirm G + xy = G."""
+def _dispatch(g, x, y, k, flex, trace, ends):
+    """One level on (g, x, y), which _engine has checked.  `ends` holds the
+    end blocks of G, each with its cut vertex, from the walk that showed
+    G + xy 2-connected, so G is 2-connected exactly when it is empty."""
     if k == 1:
         trace.record("single-path")
         return _base_single(g, x, y)
-    if not is_2_connected(g):
-        return _split_at_end_block(g, x, y, k, flex, trace)
+    if ends:
+        return _split_at_end_block(g, x, y, k, flex, trace, ends)
     core = find_core(g, x, y)
     if core is None:
         return _case_no_core(g, x, y, k, flex, trace)
@@ -300,34 +284,30 @@ def _base_single(g, x, y):
     return make_path_family([p], cls=FamilyClass(LENGTH))
 
 
-def _split_at_end_block(g, x, y, k, flex, trace):
-    """G connected but not 2-connected: peel off the end block holding x.
+def _split_at_end_block(g, x, y, k, flex, trace, ends):
+    """G connected but not 2-connected, with end blocks `ends`: peel off
+    the end block B holding x, whose one cut vertex is b.
 
     Both descents meet the hypothesis, so their _recurse_on never raises
-    and this level needs no _attempt.  G + xy is 2-connected, so
-    x and y are no cut vertices of G, and each end block of G holds one of
-    them: the blocks form a path from the end block of x, whose one cut
-    vertex is b, to the end block of y.  A block of three or more vertices
-    is 2-connected, and its vertices other than x and b have all their
-    neighbors in it.  The single edge xb leaves G - x a path of blocks from
-    b to y, with every degree but b's kept; deg(b) >= 2k - 1 >= 3 (k >= 2
-    here) gives G - x three or more vertices."""
-    for blk, b in leaf_blocks(g):
-        if x not in blk:
-            continue
-        if len(blk) >= 3:
-            trace.record("end-block-of-x")
-            fam = _recurse_on(g, blk, x, b, k, flex, trace)
-            bridge = _path_within(g, b, y, set(range(g.n)) - (set(blk) - {b}))
-            if bridge is None:
-                raise Disconnected("no path from the cut vertex to y")
-            # every member grows by the same bridge, so the reading survives
-            return make_path_family([join_paths(m, bridge) for m in fam.members], cls=fam.cls)
-        # the end block is the single edge xb: recurse on G - x
-        trace.record("strip-degree-one-x")
-        fam = _recurse_on(g, set(range(g.n)) - {x}, b, y, k, flex, trace)
-        return make_path_family([join_paths((x, b), m) for m in fam.members], cls=fam.cls)
-    return None
+    and this level needs no _attempt.  G + xy is 2-connected, so x and y
+    are no cut vertices of G, and the blocks form a path from B to the end
+    block of y.  A B of three or more vertices is 2-connected, its vertices
+    but x and b have all their neighbors in it, and G - (B - b) is
+    connected and holds y, so the bridge from b to y exists.  The single
+    edge xb leaves G - x a path of blocks from b to y, with every degree
+    but b's kept; deg(b) >= 2k - 1 >= 3 (k >= 2 here) gives G - x three or
+    more vertices."""
+    blk, b = next((blk, b) for blk, b in ends if x in blk)
+    if len(blk) >= 3:
+        trace.record("end-block-of-x")
+        fam = _recurse_on(g, blk, x, b, k, flex, trace)
+        bridge = _path_within(g, b, y, set(range(g.n)) - (set(blk) - {b}))
+        # every member grows by the same bridge, so the reading survives
+        return make_path_family([join_paths(m, bridge) for m in fam.members], cls=fam.cls)
+    # the end block is the single edge xb: recurse on G - x
+    trace.record("strip-degree-one-x")
+    fam = _recurse_on(g, set(range(g.n)) - {x}, b, y, k, flex, trace)
+    return make_path_family([join_paths((x, b), m) for m in fam.members], cls=fam.cls)
 
 
 # -- no 4-cycle through x in G - y -------------------------------------------
@@ -581,7 +561,7 @@ def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
 def find_paths_length(g, x, y, k, trace=None):
     """k (x, y)-paths satisfying the length condition; needs (G, x, y)
     rooted 2-connected with min degree 2k outside the roots."""
-    _check_hypothesis(g, x, y, k, False)
+    _check_request(g, x, y, k)
     if trace is None:
         trace = ExtractionTrace()
     return _engine(g, x, y, k, False, trace)
@@ -590,7 +570,7 @@ def find_paths_length(g, x, y, k, trace=None):
 def find_paths_flex(g, x, y, k, trace=None):
     """k (x, y)-paths satisfying the length or the semi-length condition;
     needs min degree 2k - 1 outside the roots."""
-    _check_hypothesis(g, x, y, k, True)
+    _check_request(g, x, y, k)
     if trace is None:
         trace = ExtractionTrace()
     return _engine(g, x, y, k, True, trace)

@@ -268,8 +268,8 @@ def fab(lengths, x, y, start):
 def test_combinator_counts(l, phi):
     len_p = [2 + 2 * i for i in range(l + phi)]
     len_q = [3 + 2 * i for i in range(l)]
-    p = make_path_family(fab(len_p, 0, 1, 100))
-    q = make_path_family(fab(len_q, 0, 1, 500))
+    p = make_path_family(fab(len_p, 0, 1, 100), cls=FamilyClass(LENGTH))
+    q = make_path_family(fab(len_q, 0, 1, 500), cls=FamilyClass(LENGTH))
     assert glue_two_sided_length(p, q).k == l + (l + phi) - 1
 
     if phi == 1:
@@ -283,7 +283,7 @@ def test_combinator_counts(l, phi):
 
     m = 3
     c = tuple(range(2 * m + 1))
-    fan = make_path_family(fab([2 + 2 * i for i in range(l)], 0, m, 100))
+    fan = make_path_family(fab([2 + 2 * i for i in range(l)], 0, m, 100), cls=FamilyClass(LENGTH))
     assert odd_cycle_fan(c, fan, phi).k == 2 * l
 
     if phi == 0 and l >= 2:
@@ -293,7 +293,7 @@ def test_combinator_counts(l, phi):
             assert odd_cycle_fan(c, semi_fan, 0).k == 2 * l - 1
 
     if l >= 2:
-        xf = make_path_family(fab([2 + 2 * i for i in range(l - 1)], 99, m, 100))
+        xf = make_path_family(fab([2 + 2 * i for i in range(l - 1)], 99, m, 100), cls=FamilyClass(LENGTH))
         assert odd_cycle_x_fan(c, 99, xf, l).k == 2 * l
 
 

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from cyclemod import certify, cycles, paths
 from cyclemod.cli import main
 from cyclemod.cycles import branch_of
+from cyclemod.errors import HypothesisNotMet
 from cyclemod.graph import Graph, complete_bipartite, complete_graph, cycle_graph, format_graph
 from cyclemod.smallgraphs import two_connected_graphs
 
@@ -214,6 +215,33 @@ def test_a_constructive_gap_exits_3_and_still_prints_the_certificate(monkeypatch
     cert = json.loads(res.stdout)
     assert cert["trace"]["constructive_gap"] is True
     assert certify.verify(cert) == (True, None)
+
+
+def test_a_branch_ii_request_with_no_witness_falls_back_to_the_oracle(monkeypatch):
+    # K5 is 3-connected and not bipartite; with no odd-cycle witness the
+    # k = 3 request is a constructive gap that the cycle oracle fills
+    monkeypatch.setattr(cycles, "find_nonsep_induced_odd_cycle", lambda g, adj=None: None)
+    g = complete_graph(5)
+    trace = paths.ExtractionTrace()
+    fam, branch = cycles.find_k_cycles(g, 3, trace=trace)
+    assert branch == "II" and trace.branches == ["branch-II", paths.GAP_TAG]
+    assert trace.constructive_gap and fam.k == 3
+    cert = certify.make_certificate(g, "cycles", 3, fam, branch=branch, trace=trace)
+    assert certify.verify(cert) == (True, None)
+    res = run("cycles", "--graph", "g", "--k", "3", files={"g": K5})
+    assert res.exit_code == 3 and "constructive gap" in res.stderr
+    printed = json.loads(res.stdout)
+    assert printed["trace"]["constructive_gap"] is True and printed["branch"] == "II"
+    assert certify.verify(printed) == (True, None)
+
+
+def test_a_branch_ii_request_with_no_witness_and_no_family_misses_the_hypothesis(monkeypatch):
+    monkeypatch.setattr(cycles, "find_nonsep_induced_odd_cycle", lambda g, adj=None: None)
+    monkeypatch.setattr(cycles, "_oracle_cycles", lambda g, k, bipartite, adj=None: None)
+    with pytest.raises(HypothesisNotMet, match="no family of 3 cycles exists at all"):
+        cycles.find_k_cycles(complete_graph(5), 3)
+    res = run("cycles", "--graph", "g", "--k", "3", files={"g": K5})
+    assert res.exit_code == 2 and "hypothesis not met" in res.stderr and res.stdout == ""
 
 
 def test_an_oracle_that_finds_no_family_exits_3():

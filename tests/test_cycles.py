@@ -532,6 +532,20 @@ def test_a_declined_fan_leaves_no_tag_of_its_block_paths(monkeypatch):
     assert trace.branches[-1] in ("antipode-x-fan", "antipode-fan")
 
 
+def test_a_family_with_a_cycle_short_raises_invalid_witness(monkeypatch):
+    # K5 at k = 2 builds its two cycles from an edge pair; one cycle fewer
+    # is a valid family of its class, and the member count stops it
+    pair = cycles._two_cycles_from_edge
+
+    def one_short(g, trace):
+        fam = pair(g, trace)
+        return make_cycle_family(fam.members[:-1], cls=fam.cls)
+
+    monkeypatch.setattr(cycles, "_two_cycles_from_edge", one_short)
+    with pytest.raises(InvalidWitness, match="expected 2 cycles, produced 1"):
+        find_k_cycles(complete_graph(5), 2)
+
+
 def test_branch_i_resumes_the_classifying_scan(monkeypatch):
     # the dispatch finds the first 2-separation once and the glue starts
     # from it, rather than scanning again from the pair (0, 1)

@@ -143,11 +143,16 @@ def _rooted_via_blocks(g, x, y):
 
 
 def test_rooted_2_connected_matches_end_block_reading():
+    # is_rooted_2_connected reads the end blocks of one walk of G; the
+    # definition, a walk of the copy G + xy, and the block-cut tree reading
+    # are its references
     checked = 0
     for n in range(3, 8):
         for g in atlas_connected(n):
             for x, y in itertools.combinations(range(n), 2):
-                assert is_rooted_2_connected(g, x, y) == _rooted_via_blocks(g, x, y), (g.edges(), x, y)
+                want = is_2_connected(g.with_edge(x, y))
+                assert want == _rooted_via_blocks(g, x, y), (g.edges(), x, y)
+                assert is_rooted_2_connected(g, x, y) == want, (g.edges(), x, y)
                 checked += 1
     assert checked == 19845  # root pairs of the 994 connected graphs with 3 <= n <= 7
 

@@ -181,8 +181,8 @@ def test_close_cycle():
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("phi", [0, 1])
 def test_two_sided_length_glue_counts(l, phi):
-    p = make_path_family(fab_paths(length_lengths(l + phi, a=2), start=100))
-    q = make_path_family(fab_paths(length_lengths(l, a=3), start=500))
+    p = make_path_family(fab_paths(length_lengths(l + phi, a=2), start=100), cls=FamilyClass(LENGTH))
+    q = make_path_family(fab_paths(length_lengths(l, a=3), start=500), cls=FamilyClass(LENGTH))
     fam = glue_two_sided_length(p, q)
     assert fam.is_cycles and fam.cls.kind == LENGTH
     assert fam.k == l + (l + phi) - 1
@@ -272,7 +272,7 @@ def fab_fan_paths(lengths, c, end, start=100):
 def test_odd_cycle_fan_length_counts(l, phi):
     m = 3
     c = tuple(range(2 * m + 1))
-    fam = make_path_family(fab_fan_paths(length_lengths(l, a=2), c, end=m))
+    fam = make_path_family(fab_fan_paths(length_lengths(l, a=2), c, end=m), cls=FamilyClass(LENGTH))
     out = odd_cycle_fan(c, fam, phi)
     assert out.cls.kind == CONSECUTIVE
     assert out.k == 2 * l
@@ -300,7 +300,7 @@ def test_odd_cycle_x_fan_counts(l):
         inner = list(range(nxt, nxt + length - 1))
         nxt += length - 1
         members.append(tuple([x] + inner + [m]))
-    fam = make_path_family(members)
+    fam = make_path_family(members, cls=FamilyClass(LENGTH))
     out = odd_cycle_x_fan(c, x, fam, l)
     assert out.cls.kind == CONSECUTIVE
     assert out.k == 2 * l
@@ -332,11 +332,13 @@ C7 = tuple(range(7))  # an odd cycle as its rotation from u = 0; antipodes 3, 4
 
 
 def _paths(*members, cls=None):
-    return make_path_family(members, cls=cls)
+    """A path family of the members in cls, or else in the class that
+    classify reads off their lengths."""
+    return make_path_family(members, cls=cls or classify([len(m) - 1 for m in members]))
 
 
 @pytest.mark.parametrize("call, error, prefix", [
-    (lambda: validate_path_family(K5, make_cycle_family([(0, 1, 2)])),
+    (lambda: validate_path_family(K5, make_cycle_family([(0, 1, 2)], cls=FamilyClass(LENGTH))),
      InvalidWitness, "expected a path family"),
     (lambda: validate_path_family(C5, _paths((0, 2, 1))),
      InvalidWitness, "not a path in the host graph"),
@@ -348,7 +350,7 @@ def _paths(*members, cls=None):
      InvalidWitness, "class consecutive not allowed here"),
     (lambda: validate_cycle_family(K5, _paths((0, 2, 1))),
      InvalidWitness, "expected a cycle family"),
-    (lambda: validate_cycle_family(C5, make_cycle_family([(0, 1, 2)])),
+    (lambda: validate_cycle_family(C5, make_cycle_family([(0, 1, 2)], cls=FamilyClass(LENGTH))),
      InvalidWitness, "not a cycle in the host graph"),
     (lambda: close_cycle((0, 2, 1), (0, 3, 4)),
      InvalidWitness, "paths do not share endpoints"),

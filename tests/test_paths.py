@@ -1,17 +1,25 @@
 """Rooted path-family extraction and its exhaustive oracle."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
-from cyclemod import oraclekern, paths
+from cyclemod import cycles, decompose, oraclekern, paths
 from cyclemod.cycles import find_k_cycles, oracle_cycles
 from cyclemod.errors import HypothesisNotMet, InvalidArgument, InvalidWitness
 from cyclemod.generate import GenSpec, generate
 from cyclemod.graph import Graph, complete_graph, induced
 from cyclemod.decompose import is_rooted_2_connected
-from cyclemod.families import LENGTH, SEMI, FamilyClass, first_window, validate_path_family
+from cyclemod.families import (
+    LENGTH,
+    SEMI,
+    FamilyClass,
+    first_window,
+    make_path_family,
+    validate_path_family,
+)
 from cyclemod.oraclekern import find_path_with_length, path_length_set
 from cyclemod.core import find_core
 from cyclemod.paths import (
@@ -220,7 +228,12 @@ def _super_root_requests():
 
 def test_the_super_root_graph_equals_the_graph_rebuilt_from_its_edge_list(monkeypatch):
     built = []
-    monkeypatch.setattr(paths, "_fits", lambda aux, ax, ay, k, flex: built.append(aux) and False)
+
+    def refuse(sub, ax, ay, k, flex, trace):
+        built.append(sub)
+        raise HypothesisNotMet("refused")
+
+    monkeypatch.setattr(paths, "_engine", refuse)
     super_roots = set()
     for g, verts, a, b in _super_root_requests():
         built.clear()
@@ -241,11 +254,11 @@ def test_the_super_root_graph_equals_the_graph_rebuilt_from_its_edge_list(monkey
 
 
 def test_a_graph_that_holds_xy_gets_no_2_connectivity_walk(monkeypatch):
-    # every caller of the engine makes G + xy 2-connected, so the dispatch
-    # walks no graph in which xy is an edge; it walks G - xy after the drop
+    # a k >= 2 level walks no graph in which xy is an edge: the engine
+    # checks G + xy on G - xy, after the drop
     walked = []
-    walk = paths.is_2_connected
-    monkeypatch.setattr(paths, "is_2_connected", lambda h: walked.append(h) or walk(h))
+    walk = paths.rooted_end_blocks
+    monkeypatch.setattr(paths, "rooted_end_blocks", lambda h, a, b: walked.append(h) or walk(h, a, b))
     g = generate(GenSpec(n=12, min_degree=4, connectivity=3, seed=3))
     fam, branch = find_k_cycles(g, 2)
     assert branch == "II" and fam.k == 2
@@ -254,6 +267,61 @@ def test_a_graph_that_holds_xy_gets_no_2_connectivity_walk(monkeypatch):
     x, y = g.edges()[0]
     find_paths_flex(g, x, y, 2)
     assert g not in walked and g.without_edge(x, y) in walked
+
+
+def _seeded_requests():
+    """Flex path requests between every root pair, k = 2 and 3, on 40
+    atlas graphs with 6 or 7 vertices drawn with seed 30; then cycle
+    requests, k = 2 and 3, on three generated branch-II graphs and on the
+    circulant C_11(1, 3), whose k = 3 request fans around a 5-cycle."""
+    rng = random.Random(30)
+    for g in rng.sample(two_connected_graphs(6) + two_connected_graphs(7), 40):
+        for x, y in itertools.permutations(range(g.n), 2):
+            for k in (2, 3):
+                if g.rooted_min_degree(x, y) >= 2 * k - 1:
+                    yield lambda g=g, x=x, y=y, k=k: find_paths_flex(g, x, y, k)
+    branch_ii = [generate(GenSpec(n=12, min_degree=4, connectivity=3, seed=s)) for s in (3, 4, 5)]
+    branch_ii.append(Graph(11, sorted({tuple(sorted((i, (i + s) % 11)))
+                                       for i in range(11) for s in (1, 3)})))
+    for g in branch_ii:
+        for k in (2, 3):
+            yield lambda g=g, k=k: find_k_cycles(g, k)
+
+
+def test_each_engine_level_walks_its_own_graph_once(monkeypatch):
+    # the engine checks the hypothesis, and _dispatch and the end-block
+    # split read their answers, on one low-link walk of the level's graph
+    walks, levels, entered, split = [], [], [], []
+    low_link, dispatch, engine = decompose._low_link, paths._dispatch, paths._engine
+
+    def walk(h, without=()):
+        walks.append((h, tuple(without)))
+        return low_link(h, without)
+
+    def dispatched(h, x, y, k, flex, trace, ends):
+        levels.append(h)
+        split.append(bool(ends) and k >= 2)
+        return dispatch(h, x, y, k, flex, trace, ends)
+
+    def counted(*args):
+        entered.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(decompose, "_low_link", walk)
+    monkeypatch.setattr(paths, "_dispatch", dispatched)
+    monkeypatch.setattr(paths, "_engine", counted)
+    monkeypatch.setattr(cycles, "_engine", counted)
+    requests = 0
+    for request in _seeded_requests():
+        walks.clear()
+        levels.clear()
+        entered.clear()
+        request()
+        requests += 1
+        assert len(levels) == len(entered)
+        for h in levels:
+            assert sum(1 for w, without in walks if w is h and not without) == 1
+    assert requests == 624 and any(split)
 
 
 # networkx.random_regular_graph(3, 12, seed=2), as a literal
@@ -362,3 +430,20 @@ def test_a_fallback_level_validates_its_family_once(monkeypatch):
 def test_semi_through_y_declines_outside_its_case(n, edges, x, y):
     g = Graph(n, edges)
     assert paths._semi_in_h_plus_y(g, find_core(g, x, y), 3) is None
+
+
+def test_a_level_with_a_member_short_raises_invalid_witness(monkeypatch):
+    # the top level of K5 at k = 2 builds its family with core ladders; one
+    # ladder fewer is a valid length family, and the member count stops it
+    ladders = paths.core_paths_big_l
+
+    def one_short(g, core, k):
+        fam = ladders(g, core, k)
+        return make_path_family(fam.members[:-1], cls=fam.cls)
+
+    trace = ExtractionTrace()
+    find_paths_length(complete_graph(5), 0, 1, 2, trace=trace)
+    assert trace.branches == ["drop-xy-edge", "core-ladders"]
+    monkeypatch.setattr(paths, "core_paths_big_l", one_short)
+    with pytest.raises(InvalidWitness, match="expected 2 members, got 1"):
+        find_paths_length(complete_graph(5), 0, 1, 2)

@@ -92,7 +92,7 @@ def test_one_low_link_walk():
 def test_one_subproblem_builder():
     # paths._recurse_on alone builds a relabelled subproblem and lifts its
     # paths back; every other question about G - X is asked of G itself
-    callers = {"induced": set(), "_fits": set(), "contract_set": set()}
+    callers = {"induced": set(), "contract_set": set()}
     defined = set()
     for name in ("paths.py", "cycles.py"):
         path = SRC / name
@@ -107,10 +107,41 @@ def test_one_subproblem_builder():
                         callers[called].add(f"{path.stem}.{top.name}")
     assert callers == {
         "induced": {"paths._recurse_on"},
-        "_fits": {"paths._recurse_on", "paths._check_hypothesis"},
         "contract_set": {"paths._case_no_core"},
     }
     assert "_recurse_on_sub" not in defined
+
+
+def _compares_roots_to_end_blocks(node):
+    """Does node test a set of the two roots against an end block less its
+    cut vertex, as in `{x, y}.intersection(blk) - {b}`?"""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "attr", None) == "intersection"
+            and isinstance(node.left.func.value, ast.Set)
+            and len(node.left.func.value.elts) == 2)
+
+
+def test_the_rooted_hypothesis_is_read_once_with_no_copy_of_g_plus_xy():
+    # decompose.rooted_end_blocks alone reads "G + xy is 2-connected" off
+    # the end blocks of G; the engine is its one caller outside decompose,
+    # and no code builds G + xy
+    readers, copies = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, top in _top_level_functions(path):
+            for node in ast.walk(top):
+                if _compares_roots_to_end_blocks(node):
+                    readers.add(qualname)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "with_edge":
+                    copies.append(f"{path.name}:{node.lineno}")
+    assert readers == {"decompose.rooted_end_blocks"}
+    assert not copies, f"with_edge copies in src: {copies}"
+    assert _top_level_callers(["rooted_end_blocks"])["rooted_end_blocks"] == {
+        "decompose.is_rooted_2_connected",
+        "paths._engine",
+    }
+    defined = {name for path in SRC.glob("*.py") for _q, name in _defined_names(path)}
+    assert not {"_fits", "_check_hypothesis"} & defined
 
 
 def test_only_attempt_catches_a_declined_construction():

@@ -21,7 +21,6 @@ from .errors import (
     BudgetExceeded,
     HypothesisNotMet,
     InvalidArgument,
-    InvalidWitness,
     InvariantViolated,
 )
 from .families import (
@@ -160,7 +159,8 @@ def find_core(g, x, y):
 
 
 def verify_core(g, core):
-    """(True, None) or (False, "<condition>: <witness vertex>")."""
+    """(True, None) or (False, "<condition>: <witness vertex>").  S and T
+    cannot overlap once C1 holds: a vertex in both would need a loop."""
     s_set, t_set = set(core.s), set(core.t)
     l = core.l
     if len(s_set) < 2 or len(t_set) < len(s_set):
@@ -171,8 +171,6 @@ def verify_core(g, core):
                 return False, f"C1: missing edge {u}-{v}"
     if core.x not in s_set or core.y in s_set | t_set:
         return False, "C2: roots misplaced"
-    if s_set & t_set:
-        return False, "C2: S and T overlap"
     h = s_set | t_set
     for v in range(g.n):
         if v in h or v == core.y:
@@ -226,27 +224,24 @@ def h_ladder_path(core, a, b, length, avoid=()):
 
 def _exit_via(g, core, starts):
     """The path w, c, ..., y for the smallest pair (w, c) with w in `starts`
-    and c a neighbor of w in C, then a shortest c-y path inside C.
-    Raises HypothesisNotMet when no vertex of `starts` has a C-neighbor."""
+    and c a neighbor of w in C, then a shortest c-y path inside C, which is
+    connected.  Both callers pass starts, one of which has a C-neighbor."""
     c_set = set(core.component_c)
-    pairs = [(w, c) for w in starts for c in g.adj[w] & c_set]
-    if not pairs:
-        raise HypothesisNotMet("no edge between the exit vertices and C")
-    w, c = min(pairs)
+    w, c = min((w, c) for w in starts for c in g.adj[w] & c_set)
     return (w,) + shortest_path(g, c, core.y, forbidden=set(range(g.n)) - c_set)
 
 
 def _shortest_exit(g, core):
     """A shortest path from some w in V(H) - x to y, internally avoiding
-    V(H) u {x}; the first of T, then S - x, among the shortest."""
+    V(H) u {x}; the first of T, then S - x, among the shortest.  One
+    exists: G - x = (G + xy) - x is connected, so a shortest path in G - x
+    from y to V(H) - x exists, and it is an exit."""
     h = core.h_vertices()
     best = None
     for w in list(core.t) + [v for v in core.s if v != core.x]:
         p = shortest_path(g, w, core.y, forbidden=(h - {w}) | {core.x})
         if p is not None and (best is None or len(p) < len(best)):
             best = p
-    if best is None:
-        raise HypothesisNotMet("no exit from the core to y")
     return best
 
 
@@ -261,15 +256,11 @@ def core_paths_big_l(g, core, k):
         raise HypothesisNotMet("need l >= k, or l = k - 1 with a T-C edge")
     exit_path = _shortest_exit(g, core) if l >= k else _exit_via(g, core, core.t)
     w = exit_path[0]
-    members = []
-    if w in core.t:
-        for i in range(1, k + 1):  # odd ladders 1, 3, ..., 2k - 1
-            lad = h_ladder_path(core, x, w, 2 * i - 1)
-            members.append(join_paths(lad, exit_path))
-    else:
-        for i in range(1, k + 1):  # even ladders 2, 4, ..., 2k  (needs l >= k)
-            lad = h_ladder_path(core, x, w, 2 * i)
-            members.append(join_paths(lad, exit_path))
+    # odd ladders 1, 3, .., 2k - 1 end in T, even ones 2, 4, .., 2k in S
+    # (an exit from S needs l >= k)
+    odd = 1 if w in core.t else 0
+    members = [join_paths(h_ladder_path(core, x, w, 2 * i - odd), exit_path)
+               for i in range(1, k + 1)]
     return make_path_family(members, cls=FamilyClass(LENGTH))
 
 
@@ -292,54 +283,34 @@ def core_paths_semilength(g, core, k):
         raise HypothesisNotMet("no edge inside T")
     s = s_cands[0]
     exit_path = _exit_via(g, core, (s,))
-    members = []
-    for i in range(1, l + 1):  # even ladders 2, ..., 2l
-        lad = h_ladder_path(core, x, s, 2 * i)
-        members.append(join_paths(lad, exit_path))
+    # even ladders 2, .., 2l, then one (x, s)-path of length 2l + 1 over
+    # the T-T edge: x t1 t2, then a ladder back to s
+    members = [join_paths(h_ladder_path(core, x, s, 2 * i), exit_path) for i in range(1, l + 1)]
     t1, t2 = tt_edges[0]
-    # one (x, s)-path of length 2l + 1: x t1 t2 then alternate back to s
-    seq = [x, t1, t2]
-    free_s = [v for v in core.s if v not in (x, s)]
-    free_t = [v for v in core.t if v not in (t1, t2)]
-    for j in range(l - 1):
-        seq.append(free_s[j])
-        seq.append(free_t[j])
-    seq.append(s)
-    members.append(join_paths(tuple(seq), exit_path))
+    members.append(join_paths(
+        (x, t1, t2), h_ladder_path(core, t2, s, 2 * l - 1, avoid=(x, t1)), exit_path))
     return make_path_family(members, cls=FamilyClass(SEMI, k - 1))
 
 
 # -- turning attachment families into (x, y)-families ----------------------
 
 
-def extend_from_core(g, core, fam, k):
+def extend_from_core(core, fam):
     """Convert k - l (T, y)-paths, each from a vertex of T to y and
     internally disjoint from V(H), into k (x, y)-paths of the same class.
 
     Each member gets the hook x, t through H; the longest member is then
     re-routed through (x, t)-ladders of lengths 3, 5, ..., 2l + 1, which
     tops the family up to k with steps of 2.
-    """
-    l = core.l
-    x, y = core.x, core.y
-    need = k - l
-    if len(fam.members) != need or fam.cls.kind not in (LENGTH, SEMI):
-        raise HypothesisNotMet(
-            f"(T, y)-paths: need {need} members with a length or semi-length class"
-        )
-    h = core.h_vertices()
-    t_set = set(core.t)
-    for m in fam.members:
-        if set(m[1:-1]) & h:
-            raise InvalidWitness("attachment member passes through the core")
 
-    members = []
-    for m in fam.members:
-        if m[0] not in t_set or m[-1] != y:
-            raise InvalidWitness("member must join T to y")
-        members.append(join_paths((x, m[0]), m))
+    Nothing here is checked.  The one caller, paths._block_to_t, hands
+    over the engine's validated k - l members of class length or
+    semi-length; they run inside C, which avoids V(H), from a super root
+    over T to b, then across C to y.
+    """
+    x = core.x
+    members = [join_paths((x, m[0]), m) for m in fam.members]
     last = fam.members[-1]
-    for j in range(1, l + 1):
-        lad = h_ladder_path(core, x, last[0], 2 * j + 1)
-        members.append(join_paths(lad, last))
+    members += [join_paths(h_ladder_path(core, x, last[0], 2 * j + 1), last)
+                for j in range(1, core.l + 1)]
     return make_path_family(members, cls=fam.cls)

@@ -48,7 +48,6 @@ from .families import (
     make_path_family,
     odd_cycle_fan,
     odd_cycle_x_fan,
-    residues_mod_k,
     validate_cycle_family,
 )
 from .oraclekern import _first_cycle, default_budget
@@ -338,9 +337,8 @@ def _triangle_fans(g, k, c, trace):
     l, phi = split_parity(k)
     for rot in _rotations(c):
         u, up, um = rot
-        attach = (g.adj[up] | g.adj[um]) - {up, um}
         fam = _attempt(trace, "triangle-fan", lambda: odd_cycle_fan(rot, _recurse_on(
-            g, set(range(g.n)) - {up, um}, u, (attach, (up, um)), l, phi == 0, trace), phi))
+            g, set(range(g.n)) - {up, um}, u, (up, um), l, phi == 0, trace), phi))
         if fam is not None:
             return make_cycle_family(fam.members[:k], cls=fam.cls)
     return None
@@ -488,16 +486,12 @@ def residue_map(fam, k):
 def all_residues_mod_k(g, k, trace=None):
     """Cycles of every length modulo k, as a map residue -> cycle.
 
-    Only odd k qualifies: a length-condition family steps by 2, which is a
-    unit modulo odd k, and a consecutive family steps by 1; either way the
-    k lengths hit every residue class.
+    Only odd k qualifies: find_k_cycles returns k members of a
+    length-condition family, which steps by 2, a unit modulo odd k, or of
+    a consecutive family, which steps by 1; either way the k lengths hit
+    every residue class, so the coverage needs no check.
     """
     if k % 2 == 0:
         raise HypothesisNotMet("residue coverage needs odd k")
     fam, _branch = find_k_cycles(g, k, trace=trace)
-    res, full = residues_mod_k(fam.lengths(), k)
-    if not full:
-        raise InvalidWitness(
-            f"family of class {fam.cls.kind} does not cover all residues mod {k}"
-        )
     return residue_map(fam, k)

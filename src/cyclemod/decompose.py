@@ -233,7 +233,7 @@ def _contracts_to_k4(g, masks):
             d += 1
         if 2 * d > order:
             return True
-        if d < 3:
+        if d < 3:  # so the order-4 step returns either way
             return False
         x_bit = buckets[d] & -buckets[d]
         x = x_bit.bit_length() - 1
@@ -256,7 +256,6 @@ def _contracts_to_k4(g, masks):
         buckets[deg[y]] ^= y_bit
         deg[y] = adj[y].bit_count()
         buckets[deg[y]] |= y_bit
-    return False
 
 
 def vertex_connectivity_at_least(g, t):

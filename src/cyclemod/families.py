@@ -132,16 +132,16 @@ class Family:
     (vertex tuples without the repeated start), plus its classification.
 
     Members are stored shortest-first / longest-last.  The one check that
-    the member lengths admit the class: a family of any other class raises
-    InvalidWitness when it is built; classify's UNCLASSIFIED reading is kept
-    as given."""
+    the member lengths admit the class: a family whose lengths do not
+    raises InvalidWitness when it is built, and so does any family read as
+    UNCLASSIFIED, which no class admits."""
 
     members: tuple
     cls: FamilyClass
     is_cycles: bool = False
 
     def __post_init__(self):
-        if self.cls.kind != UNCLASSIFIED and not class_holds(self.lengths(), self.cls):
+        if not class_holds(self.lengths(), self.cls):
             raise InvalidWitness(f"lengths {self.lengths()} do not admit the reading {self.cls}")
 
     @property

@@ -143,26 +143,29 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
     """k (a, b)-paths found by recursing on G[verts], lifted back to the
     ids of g; _engine raises HypothesisNotMet when the subproblem misses
     the hypothesis.  The one place that builds a relabelled subproblem and
-    lifts its paths back.
+    lifts its paths back, and the one place that works out a super root's
+    neighbours.
 
-    A root is a vertex of `verts` or a super vertex, given as a pair
-    (attach, options): a new vertex adjacent to each vertex of `attach`.
-    The lift replaces a super root by the first vertex of the sequence
-    `options`, in its order, adjacent to its neighbor on the path.  A super
-    root with an empty `attach` has degree 1 in G + ab, so its subproblem
-    misses the hypothesis like any other.
+    A root is a vertex of `verts` or a super root, given as a tuple of its
+    options: vertices of g outside `verts` that it stands for.  It is a new
+    vertex adjacent to every vertex of `verts` next to one of its options.
+    The lift replaces a super root by the first option, in the order given,
+    adjacent to its neighbour on the path; one exists, since that neighbour
+    is a neighbour of the super root.  A super root with no neighbour in
+    `verts` has degree 1 in G + ab, so its subproblem misses the hypothesis
+    like any other.
     """
     sub, to_orig = induced(g, verts)
     inv = {v: i for i, v in enumerate(to_orig)}
     adj, roots = list(sub.adj), []
     for r in (a, b):
         if isinstance(r, tuple):
-            # a super root: a new vertex joined to each vertex of r[0]
-            attach = frozenset(inv[v] for v in r[0])
-            for v in attach:
+            # a super root: a new vertex joined to each neighbour of its options
+            nbrs = frozenset(inv[v] for v in set().union(*(g.adj[w] for w in r)).intersection(inv))
+            for v in nbrs:
                 adj[v] = adj[v] | {len(adj)}
             roots.append(len(adj))
-            adj.append(attach)
+            adj.append(nbrs)
         else:
             roots.append(inv[r])
     if len(adj) > sub.n:
@@ -172,11 +175,7 @@ def _recurse_on(g, verts, a, b, k, flex, trace):
     def lift(v, root, near):
         if v < len(to_orig):
             return to_orig[v]
-        nbrs = g.adj[to_orig[near]]
-        for w in root[1]:
-            if w in nbrs:
-                return w
-        raise InvalidWitness("no real vertex realizes the super attachment")
+        return next(w for w in root if g.has_edge(w, to_orig[near]))
 
     members = [
         (lift(m[0], a, m[1]),) + tuple(to_orig[v] for v in m[1:-1]) + (lift(m[-1], b, m[-2]),)
@@ -277,10 +276,10 @@ def _attempt(trace, tag, fn):
 
 
 def _base_single(g, x, y):
-    """One (x, y)-path of length >= 2 (k = 1)."""
+    """One (x, y)-path of length >= 2 (k = 1).  G + xy is 2-connected on
+    three or more vertices, so it has no bridge: G - xy still joins x and
+    y, by a path of length >= 2."""
     p = shortest_path(g.without_edge(x, y) if g.has_edge(x, y) else g, x, y)
-    if p is None or len(p) < 3:
-        raise HypothesisNotMet("no (x, y)-path of length at least 2")
     return make_path_family([p], cls=FamilyClass(LENGTH))
 
 
@@ -363,8 +362,7 @@ def _contract_recurse(g, x, y, k, flex, trace, verts):
     """Recurse on the real vertices `verts` of a block of G* = G/N[x], with
     x* as a super root that lifts to the smallest vertex of N(x) adjacent
     to the next vertex of the path; x then goes in front of each path."""
-    attach = [v for v in verts if g.adj[v] & g.adj[x]]
-    fam = _recurse_on(g, verts, (attach, sorted(g.adj[x])), y, k, flex, trace)
+    fam = _recurse_on(g, verts, tuple(sorted(g.adj[x])), y, k, flex, trace)
     return make_path_family([(x,) + m for m in fam.members], cls=fam.cls)
 
 
@@ -400,11 +398,7 @@ def _twin_roots(g, x, y, k, flex, trace):
 
 
 def _twin_split(g, x, y, k, flex, trace, comp, s_side, t_side):
-    s_attach = [v for v in comp if g.adj[v] & s_side]
-    t_attach = [v for v in comp if g.adj[v] & t_side]
-    fam = _recurse_on(
-        g, comp, (s_attach, sorted(s_side)), (t_attach, sorted(t_side)), k, flex, trace
-    )
+    fam = _recurse_on(g, comp, tuple(sorted(s_side)), tuple(sorted(t_side)), k, flex, trace)
     members = [(x,) + m + (y,) for m in fam.members]
     return make_path_family(members, cls=fam.cls)
 
@@ -538,21 +532,19 @@ def _case_big_c(g, x, y, k, flex, trace, core):
 
 
 def _block_to_t(g, x, y, k, flex, trace, core, blk, b):
-    l = core.l
-    t_set = set(core.t)
-    c_set = set(core.component_c)
-    attach = [v for v in blk if g.adj[v] & t_set]
-    fam = _recurse_on(g, blk, (attach, core.t), b, k - l, flex, trace)
-    if b == y:
-        tail = ()
-    else:
-        bridge = _path_within(g, b, y, c_set - (blk - {b}))
-        if bridge is None:
-            return None
-        tail = bridge
-    members = [join_paths(m, tail) if tail else m for m in fam.members]
-    att = make_path_family(members, cls=fam.cls)
-    return extend_from_core(g, core, att, k)
+    """k - l (T, b)-paths across the block `blk` of C, from a super root
+    over T, each extended by one b-y bridge inside C to a (T, y)-path and
+    then through the core.
+
+    The bridge exists: `blk` is all of C with b = y, or an end block of C
+    whose cut vertex is b, and then C - (blk - b) is connected and holds y.
+    The engine below validates k - l members of the length or semi-length
+    class; each starts at its T option, runs inside C, which avoids V(H),
+    and ends at y: all extend_from_core needs."""
+    fam = _recurse_on(g, blk, core.t, b, k - core.l, flex, trace)
+    bridge = _path_within(g, b, y, set(core.component_c) - (blk - {b}))
+    att = make_path_family([join_paths(m, bridge) for m in fam.members], cls=fam.cls)
+    return extend_from_core(core, att)
 
 
 # -- public entry points -----------------------------------------------------

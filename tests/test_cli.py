@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from cyclemod import certify, cycles, paths
 from cyclemod.cli import main
 from cyclemod.cycles import branch_of
-from cyclemod.errors import HypothesisNotMet
+from cyclemod.errors import BudgetExceeded, HypothesisNotMet
 from cyclemod.graph import Graph, complete_bipartite, complete_graph, cycle_graph, format_graph
 from cyclemod.smallgraphs import two_connected_graphs
 
@@ -266,3 +266,48 @@ def test_bad_input_exits_1(args, files, says):
     res = run(*args, files=files)
     assert res.exit_code == 1
     assert says in res.stderr and res.stdout == ""
+
+
+def _sweep_with(monkeypatch, outcome, *args):
+    """Run `sweep` on the n <= 4 atlas with find_k_cycles replaced by
+    outcome(g, k, trace); the ks it was asked for, and the result."""
+    asked = []
+
+    def fake(g, k, trace=None):
+        asked.append(k)
+        return outcome(g, k, trace)
+
+    monkeypatch.setattr(cycles, "find_k_cycles", fake)
+    return asked, run("sweep", "--nmax", "4", "--exhaustive", *args)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("outcome, code, says", [
+    (lambda g, k, trace: _raise(BudgetExceeded("forced")), 6, "fails"),
+    (lambda g, k, trace: _raise(HypothesisNotMet("forced")), 4, "fails"),
+    (lambda g, k, trace: trace.record(paths.GAP_TAG), 3, "gaps"),
+], ids=["budget-exits-6", "failed-request-exits-4", "gap-exits-3"])
+def test_sweep_exit_codes(monkeypatch, outcome, code, says):
+    # every request of the sweep ends the same way, so the summary counts
+    # each of them under that outcome
+    asked, res = _sweep_with(monkeypatch, outcome)
+    assert res.exit_code == code
+    assert f"total {len(asked)} " in res.output and f"{says} {len(asked)} " in res.output
+
+
+def test_sweep_kmax_caps_k(monkeypatch):
+    asked, res = _sweep_with(monkeypatch, lambda g, k, trace: None)
+    assert res.exit_code == 0 and max(asked) == 2
+    capped, res = _sweep_with(monkeypatch, lambda g, k, trace: None, "--kmax", "1")
+    assert res.exit_code == 0 and capped == [1] * len(capped) and len(capped) < len(asked)
+
+
+def test_cycles_oracle_with_no_family_exits_3():
+    # C5 has one cycle length, so no two cycles of the asked kind exist
+    res = run("cycles", "--graph", "g", "--k", "2", "--oracle",
+              files={"g": format_graph(cycle_graph(5))})
+    assert res.exit_code == 3
+    assert "oracle: no such family exists" in res.stderr and res.stdout == ""

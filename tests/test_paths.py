@@ -189,9 +189,11 @@ def test_sharpness_k3_has_neither():
 
 
 def test_recurse_on_lifts_a_super_root_and_refuses_k_below_one():
-    # G[{2, 3, 4, 5}] plus a super root wired to {2, 3} that stands for 0
-    g = complete_graph(6)
-    sup = ((2, 3), {0})
+    # G[{2, 3, 4, 5}] plus a super root that stands for 0; in K6 without the
+    # edges 0-4 and 0-5 its derived neighbours are exactly {2, 3}
+    g = Graph(6, [e for e in complete_graph(6).edges() if e not in ((0, 4), (0, 5))])
+    assert g.adj[0] == {1, 2, 3}
+    sup = (0,)
     fam = _recurse_on(g, {2, 3, 4, 5}, sup, 5, 1, False, ExtractionTrace())
     validate_path_family(g, fam, 0, 5)
     assert fam.members[0][1] in (2, 3)
@@ -205,7 +207,7 @@ def test_recurse_on_lifts_a_super_root_to_its_first_fitting_option():
     # options 0 and 1, so the order given alone decides the lift
     g = complete_graph(7)
     for options in ((0, 1), (1, 0)):
-        fam = _recurse_on(g, {2, 3, 4, 5, 6}, ((2, 3, 4), options), 6, 2, False, ExtractionTrace())
+        fam = _recurse_on(g, {2, 3, 4, 5, 6}, options, 6, 2, False, ExtractionTrace())
         validate_path_family(g, fam, options[0], 6)
         assert fam.k == 2 and {m[0] for m in fam.members} == {options[0]}
 
@@ -218,12 +220,12 @@ def _super_root_requests():
     for g in corpus:
         for v in range(g.n):
             verts = sorted(set(range(g.n)) - {v})
-            near = sorted(g.adj[v])
             far = [w for w in verts if w not in g.adj[v]] or verts
             yield g, verts, verts[0], verts[-1]
-            yield g, verts, (near, {v}), far[-1]
-            yield g, verts, far[0], (near, {v})
-            yield g, verts, (near[:1], {v}), (near[1:], {v})
+            yield g, verts, (v,), far[-1]
+            yield g, verts, far[0], (v,)
+            w = (v + 1) % g.n
+            yield g, sorted(set(verts) - {w}), (v,), (w,)
 
 
 def test_the_super_root_graph_equals_the_graph_rebuilt_from_its_edge_list(monkeypatch):
@@ -244,7 +246,7 @@ def test_the_super_root_graph_equals_the_graph_rebuilt_from_its_edge_list(monkey
         n, extra = sub.n, []
         for r in (a, b):
             if isinstance(r, tuple):
-                extra += [(inv[w], n) for w in r[0]]
+                extra += [(inv[w], n) for w in verts if any(g.has_edge(w, o) for o in r)]
                 n += 1
         want = Graph(n, sub.edges() + extra)
         (got,) = built

@@ -112,6 +112,28 @@ def test_one_subproblem_builder():
     assert "_recurse_on_sub" not in defined
 
 
+def test_only_recurse_on_derives_a_super_roots_neighbours():
+    # a super root is the tuple of its options, and paths._recurse_on alone
+    # works out its neighbours: no other function binds a name for them,
+    # and a root passed to _recurse_on as a tuple display lists vertices only
+    binders, pairs = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, top in _top_level_functions(path):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    bound = node.id
+                else:
+                    bound = node.arg if isinstance(node, ast.arg) else ""
+                if "attach" in bound:
+                    binders.add(qualname)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_recurse_on":
+                    pairs += [f"{path.name}:{node.lineno}" for arg in node.args
+                              if isinstance(arg, ast.Tuple)
+                              and not all(isinstance(e, ast.Name) for e in arg.elts)]
+    assert binders <= {"paths._recurse_on"}, f"super-root neighbours bound in: {binders}"
+    assert not pairs, f"super roots passed as (neighbours, options) pairs: {pairs}"
+
+
 def _compares_roots_to_end_blocks(node):
     """Does node test a set of the two roots against an end block less its
     cut vertex, as in `{x, y}.intersection(blk) - {b}`?"""
